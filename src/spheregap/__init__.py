@@ -13,7 +13,6 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 
 from . import fem, geometry, special, spectra, variation
-from ._kernels import backend as kernel_backend
 from .errors import (
     AssemblyError,
     ConvergenceError,

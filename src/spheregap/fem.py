@@ -34,7 +34,6 @@ class SolverConfig:
 
     grid_n: int = 64          # nodes per axis
     num_modes: int = 4        # eigenpairs to compute
-    shift: float = 0.0        # spectral shift of the shift-invert iteration
     tol: float = 1e-6         # accepted relative eigen-residual
 
     def __post_init__(self):
@@ -79,6 +78,24 @@ def _reference_basis():
     return wq, phi, dphx, dphy
 
 
+def _local_matrices(a11, a12, a22, am, phi, dphx, dphy):
+    """Per-cell 4x4 stiffness and mass blocks for a bilinear tensor basis.
+
+    a11, a12, a22, am: (ncells, nq) coefficient samples, already multiplied
+    by quadrature weights and the cell Jacobian factors. phi, dphx, dphy:
+    (4, nq) basis values and reference-cell gradients at the same points.
+    """
+    kloc = (np.einsum("cq,aq,bq->cab", a11, dphx, dphx)
+            + np.einsum("cq,aq,bq->cab", a12, dphx, dphy)
+            + np.einsum("cq,aq,bq->cab", a12, dphy, dphx)
+            + np.einsum("cq,aq,bq->cab", a22, dphy, dphy))
+    mloc = np.einsum("cq,aq,bq->cab", am, phi, phi)
+    # enforce bitwise symmetry (einsum association order differs per entry)
+    kloc = 0.5 * (kloc + np.swapaxes(kloc, 1, 2))
+    mloc = 0.5 * (mloc + np.swapaxes(mloc, 1, 2))
+    return kloc, mloc
+
+
 def assemble(params: DeformationParams, config: SolverConfig, *,
              beta: float = math.pi / 2, domain: str = "triangle") -> DiscreteEigenproblem:
     """Assemble the generalized eigenproblem K v = lambda M v.
@@ -88,8 +105,6 @@ def assemble(params: DeformationParams, config: SolverConfig, *,
     r_max = pi with pole edges at both r = 0 and r = pi. Deformations
     (t > 0) are defined only for the beta = pi/2 triangle.
     """
-    from ._kernels import local_matrices
-
     if domain not in ("triangle", "lune"):
         raise ValueError(f"unknown domain {domain!r}")
     if params.t > 0 and (domain != "triangle" or abs(beta - math.pi / 2) > 1e-15):
@@ -110,7 +125,7 @@ def assemble(params: DeformationParams, config: SolverConfig, *,
     w11, w12, w22, m = metric_coefficients(params, rq, tq)
 
     scale = wq[None, :] * (hx * hy)
-    kloc, mloc = local_matrices(
+    kloc, mloc = _local_matrices(
         w11 * scale / hx**2,
         w12 * scale / (hx * hy),
         w22 * scale / hy**2,
@@ -148,11 +163,12 @@ def assemble(params: DeformationParams, config: SolverConfig, *,
 
 
 def solve_smallest(problem: DiscreteEigenproblem, m: int, *,
-                   method: str = "auto", shift: float = 0.0, tol: float = 1e-6):
+                   method: str = "auto", tol: float = 1e-6):
     """m smallest generalized eigenpairs, ascending; returns (values, vectors).
 
-    method "sparse" runs shift-invert Lanczos, "dense" the LAPACK reference
-    path (intended as an oracle for moderate grids), "auto" picks by size.
+    method "sparse" runs shift-invert Lanczos about sigma = 0, "dense" the
+    LAPACK reference path (intended as an oracle for moderate grids), "auto"
+    picks by size.
     Residuals ||K v - lambda M v|| / ||M v|| are checked against tol.
     """
     if m > problem.num_dof:
@@ -167,7 +183,7 @@ def solve_smallest(problem: DiscreteEigenproblem, m: int, *,
         v0 = np.random.default_rng(2718281).standard_normal(problem.num_dof)
         try:
             vals, vecs = spla.eigsh(problem.stiffness, k=m, M=problem.mass,
-                                    sigma=shift, which="LM", v0=v0)
+                                    sigma=0.0, which="LM", v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError("eigensolver did not converge", math.inf) from exc
         order = np.argsort(vals)
@@ -190,7 +206,7 @@ def numeric_gap(params: DeformationParams, config: SolverConfig) -> float:
     with multiplicity."""
     problem = assemble(params, config)
     vals, _ = solve_smallest(problem, max(config.num_modes, 3),
-                             method="sparse", shift=config.shift, tol=config.tol)
+                             method="sparse", tol=config.tol)
     return float(vals[1] - vals[0])
 
 
@@ -222,15 +238,14 @@ class GapSlopeResult:
     warning: bool
 
 
-def gap_slope(direction, t_values, config: SolverConfig, *,
-              branch_match: bool = True) -> GapSlopeResult:
+def gap_slope(direction, t_values, config: SolverConfig) -> GapSlopeResult:
     """Richardson-extrapolated slope of the gap (Gamma(t) - Gamma(0)) / t.
 
     t_values must be positive and decreasing. The second eigenvalue at t = 0
-    is discretely split (multiplicity 2 in the continuum); with branch_match
-    the baseline uses the Rayleigh-weighted combination of the split pair
-    selected by the second eigenvector at the smallest t, which removes the
-    O(split/t) bias the plain minimum baseline would leave behind.
+    is discretely split (multiplicity 2 in the continuum); the baseline uses
+    the Rayleigh-weighted combination of the split pair selected by the
+    second eigenvector at the smallest t, which removes the O(split/t) bias
+    the plain minimum baseline would leave behind.
     """
     ts = [float(t) for t in t_values]
     if not ts or min(ts) <= 0 or any(t1 <= t2 for t1, t2 in zip(ts, ts[1:])):
@@ -239,26 +254,23 @@ def gap_slope(direction, t_values, config: SolverConfig, *,
     m = max(config.num_modes, 4)
 
     problem0 = assemble(DeformationParams(a, b, 0.0), config)
-    vals0, vecs0 = solve_smallest(problem0, m, method="sparse",
-                                  shift=config.shift, tol=config.tol)
+    vals0, vecs0 = solve_smallest(problem0, m, method="sparse", tol=config.tol)
 
     solved = []
     for t in ts:
         problem = assemble(DeformationParams(a, b, t), config)
-        vals, vecs = solve_smallest(problem, m, method="sparse",
-                                    shift=config.shift, tol=config.tol)
+        vals, vecs = solve_smallest(problem, m, method="sparse", tol=config.tol)
         solved.append((t, vals, vecs))
 
     lam2_base = vals0[1]
-    if branch_match:
-        _, _, vecs_min = solved[-1]
-        v2 = vecs_min[:, 1]
-        cluster = [i for i in range(1, m)
-                   if vals0[i] - vals0[1] < 1e-3 * max(1.0, vals0[1])]
-        weights = np.array([abs(v2 @ (problem0.mass @ vecs0[:, i])) ** 2
-                            for i in cluster])
-        if weights.sum() > 0:
-            lam2_base = float(np.sum(weights * vals0[cluster]) / weights.sum())
+    _, _, vecs_min = solved[-1]
+    v2 = vecs_min[:, 1]
+    cluster = [i for i in range(1, m)
+               if vals0[i] - vals0[1] < 1e-3 * max(1.0, vals0[1])]
+    weights = np.array([abs(v2 @ (problem0.mass @ vecs0[:, i])) ** 2
+                        for i in cluster])
+    if weights.sum() > 0:
+        lam2_base = float(np.sum(weights * vals0[cluster]) / weights.sum())
     gap0 = float(lam2_base - vals0[0])
 
     gaps = [float(v[1] - v[0]) for _, v, _ in solved]

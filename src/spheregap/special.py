@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._kernels import hyp2f1_batch
 from .errors import ConvergenceError, DomainError, GammaPoleError
 
 _MAX_TERMS = 800
@@ -90,6 +89,34 @@ def is_admissible(degree: float, order: float) -> bool:
     return True
 
 
+def _hyp2f1_batch(a: float, b: float, c: float, w, tol: float, max_terms: int):
+    """Gauss series sum_n (a)_n (b)_n / ((c)_n n!) w^n over an array of w.
+
+    A point counts as converged once |term| < tol * |partial sum| for three
+    consecutive terms. Returns (values, converged, residuals) where
+    residuals holds the last |term| / |sum| seen per point.
+    """
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    total = np.ones_like(w)
+    term = np.ones_like(w)
+    streak = np.zeros(w.shape, dtype=np.int64)
+    active = np.ones(w.shape, dtype=bool)
+    resid = np.ones_like(w)
+    for n in range(max_terms):
+        ratio = (a + n) * (b + n) / ((c + n) * (1.0 + n))
+        term[active] = term[active] * ratio * w[active]
+        total[active] += term[active]
+        # a zero term means the series terminated (polynomial case)
+        small = (np.abs(term) < tol * np.abs(total)) | (term == 0.0)
+        streak[active & small] += 1
+        streak[active & ~small] = 0
+        resid[active] = np.abs(term[active]) / np.maximum(np.abs(total[active]), 1e-300)
+        active &= streak < 3
+        if not active.any():
+            break
+    return total, ~active, resid
+
+
 def _series_many(degree, order, x, tol):
     """Hypergeometric-series evaluation for an array of x in [0, 1]."""
     x = np.asarray(x, dtype=float)
@@ -100,7 +127,7 @@ def _series_many(degree, order, x, tol):
     if rest.any():
         xr = x[rest]
         w = 0.5 * (1.0 - xr)
-        vals, conv, resid = hyp2f1_batch(
+        vals, conv, resid = _hyp2f1_batch(
             degree + 1.0, -degree, 1.0 - order, w, tol, _MAX_TERMS
         )
         if not conv.all():
@@ -181,8 +208,8 @@ def legendre_p_dx(degree: float, order: float, x: float, *, tol: float = DEFAULT
         raise DomainError("derivative path requires x in [0, 1)")
     a, b, c = degree + 1.0, -degree, 1.0 - order
     w = np.array([0.5 * (1.0 - x)])
-    f, conv, resid = hyp2f1_batch(a, b, c, w, tol, _MAX_TERMS)
-    f2, conv2, resid2 = hyp2f1_batch(a + 1.0, b + 1.0, c + 1.0, w, tol, _MAX_TERMS)
+    f, conv, resid = _hyp2f1_batch(a, b, c, w, tol, _MAX_TERMS)
+    f2, conv2, resid2 = _hyp2f1_batch(a + 1.0, b + 1.0, c + 1.0, w, tol, _MAX_TERMS)
     if not (conv.all() and conv2.all()):
         raise ConvergenceError(
             "hypergeometric series did not converge",

@@ -204,25 +204,33 @@ def second_eigenvalue_form(direction, *, nodes: int = 64) -> np.ndarray:
     return q
 
 
-def gap_variation_I(z: float, direction, *, nodes: int = 64) -> float:
-    """Gap variation I(z, (a, b)) assembled from the quadrature pairing totals.
+def gap_variation_grid(z, direction, *, nodes: int = 64) -> np.ndarray:
+    """Gap variation I(z, (a, b)) over broadcast arrays of z, a and b.
 
     z is the mixing angle of the second eigenfunction, u2 = cos(z) u2_1
-    + sin(z) u2_2; the direction must satisfy b in [0, 1], a = sqrt(1-b^2).
+    + sin(z) u2_2; every direction must satisfy b in [0, 1] and
+    a = sqrt(1-b^2) to within 1e-9. Pass z[:, None] against 1D a and b for
+    the (z, b) grid.
     """
-    a, b = direction
-    if not 0.0 <= b <= 1.0 or abs(a - math.sqrt(1.0 - b * b)) > 1e-9:
+    a, b = (np.asarray(c, dtype=float) for c in direction)
+    if (not np.all((0.0 <= b) & (b <= 1.0))
+            or np.any(np.abs(a - np.sqrt(1.0 - b * b)) > 1e-9)):
         raise ValueError("direction must be (sqrt(1-b^2), b) with b in [0, 1]")
     coef = _direction_coefficients(nodes)
 
     def total(pair):
         return a * coef[pair][0] + b * coef[pair][1]
 
-    p, q = math.cos(z), math.sin(z)
+    p, q = np.cos(z), np.sin(z)
     u2_part = (p * p * total(("u2_1", "u2_1"))
                + p * q * (total(("u2_1", "u2_2")) + total(("u2_2", "u2_1")))
                + q * q * total(("u2_2", "u2_2")))
     return -u2_part + total(("u1", "u1"))
+
+
+def gap_variation_I(z: float, direction, *, nodes: int = 64) -> float:
+    """Gap variation I(z, (a, b)) at one point; see gap_variation_grid."""
+    return float(gap_variation_grid(z, direction, nodes=nodes))
 
 
 def gap_variation_I_closed(z: float, b: float) -> float:
@@ -243,27 +251,11 @@ class VariationMinimum:
 def minimize_gap_variation(z_steps: int = 2000, b_steps: int = 2000,
                            *, nodes: int = 64) -> VariationMinimum:
     """Grid minimum of I(z, b) over [0, 2 pi] x [0, 1]; expected value 16/pi."""
-    coef = _direction_coefficients(nodes)
     zg = np.linspace(0.0, 2.0 * PI, max(z_steps, 1))
     bg = np.linspace(0.0, 1.0, max(b_steps, 1))
-    p, q = np.cos(zg), np.sin(zg)
-
-    def z_profile(idx):
-        return -(p * p * coef[("u2_1", "u2_1")][idx]
-                 + p * q * (coef[("u2_1", "u2_2")][idx] + coef[("u2_2", "u2_1")][idx])
-                 + q * q * coef[("u2_2", "u2_2")][idx]) + coef[("u1", "u1")][idx]
-
-    xa, xb = z_profile(0), z_profile(1)  # a- and b-direction profiles over z
-    best = (math.inf, 0.0, 0.0)
-    chunk = 256
-    for start in range(0, len(bg), chunk):
-        bb = bg[start:start + chunk]
-        vals = bb[None, :] * xb[:, None] + np.sqrt(1.0 - bb**2)[None, :] * xa[:, None]
-        flat = int(np.argmin(vals))
-        iz, ib = divmod(flat, len(bb))
-        if vals[iz, ib] < best[0]:
-            best = (float(vals[iz, ib]), float(zg[iz]), float(bb[ib]))
-    return VariationMinimum(*best)
+    vals = gap_variation_grid(zg[:, None], (np.sqrt(1.0 - bg**2), bg), nodes=nodes)
+    iz, ib = np.unravel_index(np.argmin(vals), vals.shape)
+    return VariationMinimum(float(vals[iz, ib]), float(zg[iz]), float(bg[ib]))
 
 
 def gap_slope_reference() -> float:

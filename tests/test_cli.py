@@ -179,9 +179,12 @@ def test_gap_slope_cli(capsys):
 
 
 def test_solve_direction_validation(capsys):
-    code, _ = _run(capsys, "solve", "--a", "1", "--b", "1", "--t", "0.0",
-                   "--grid-n", "24")
-    assert code == 1
+    # off the unit circle by 1, and by 1e-10 (ten-digit rounding of cos(pi/4))
+    for command in ("solve", "gap-slope"):
+        for a, b in (("1", "1"), ("0.7071067812", "0.7071067812")):
+            code = main([command, "--a", a, "--b", b, "--grid-n", "24"])
+            assert code == 1
+            assert "direction must satisfy a^2 + b^2 = 1" in capsys.readouterr().err
 
 
 def test_gap_slope_bad_t_list(capsys):

@@ -1,5 +1,7 @@
 """Tests for the finite-element eigensolver on the pullback metric."""
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -85,6 +87,39 @@ def _loop_assemble(params, n, r_max=PI / 2, beta=PI / 2, dirichlet_rmax=True):
         drop |= ii == n - 1
     keep = np.flatnonzero(~drop.ravel())
     return K[np.ix_(keep, keep)], M[np.ix_(keep, keep)]
+
+
+def _local_inputs(ncells=64, nq=9, seed=101):
+    rng = np.random.default_rng(seed)
+    a11 = rng.normal(size=(ncells, nq))
+    a12 = rng.normal(size=(ncells, nq))
+    a22 = rng.normal(size=(ncells, nq))
+    am = rng.uniform(0.5, 2.0, size=(ncells, nq))
+    phi = rng.normal(size=(4, nq))
+    dphx = rng.normal(size=(4, nq))
+    dphy = rng.normal(size=(4, nq))
+    return a11, a12, a22, am, phi, dphx, dphy
+
+
+def test_local_matrices_symmetric():
+    k, m = fem._local_matrices(*_local_inputs())
+    assert np.array_equal(k, np.swapaxes(k, 1, 2))
+    assert np.array_equal(m, np.swapaxes(m, 1, 2))
+
+
+def test_local_matrices_against_plain_loops():
+    a11, a12, a22, am, phi, dphx, dphy = _local_inputs(ncells=8)
+    k, m = fem._local_matrices(a11, a12, a22, am, phi, dphx, dphy)
+    for c in range(8):
+        for i in range(4):
+            for j in range(4):
+                ks = sum(a11[c, q] * dphx[i, q] * dphx[j, q]
+                         + a12[c, q] * (dphx[i, q] * dphy[j, q] + dphy[i, q] * dphx[j, q])
+                         + a22[c, q] * dphy[i, q] * dphy[j, q]
+                         for q in range(9))
+                ms = sum(am[c, q] * phi[i, q] * phi[j, q] for q in range(9))
+                assert abs(k[c, i, j] - ks) < 1e-12
+                assert abs(m[c, i, j] - ms) < 1e-12
 
 
 def test_element_integrals_match_loop_oracle():
@@ -194,6 +229,22 @@ def test_residual_tolerance_enforced():
     problem = assemble(DeformationParams(0.0, 1.0, 0.0), SolverConfig(grid_n=24))
     with pytest.raises(ConvergenceError):
         solve_smallest(problem, 2, tol=1e-300)
+
+
+def test_solve_smallest_bitwise_across_processes():
+    # a fresh interpreter must reproduce the in-process eigenvalues exactly
+    problem = assemble(DeformationParams(0.0, 1.0, 0.05), SolverConfig(grid_n=24))
+    vals, _ = solve_smallest(problem, 2)
+    code = (
+        "import spheregap.fem as fem\n"
+        "from spheregap.geometry import DeformationParams\n"
+        "p = fem.assemble(DeformationParams(0.0, 1.0, 0.05), fem.SolverConfig(grid_n=24))\n"
+        "v, _ = fem.solve_smallest(p, 2)\n"
+        "print(*(float(x).hex() for x in v))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == [float(x).hex() for x in vals]
 
 
 def test_neville_extrapolation_linear_exact():

@@ -9,10 +9,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from spheregap.errors import DomainError, GammaPoleError
 from spheregap.special import (
     LegendreParams,
+    _hyp2f1_batch,
     gamma_fn,
     is_admissible,
     legendre_p,
@@ -201,3 +203,31 @@ def test_params_validation():
         LegendreParams(3.0, 2.0)  # positive order
     assert is_admissible(5.0, -4.0)
     assert not is_admissible(5.1, -4.0)
+
+
+# ---------------------------------------------------------------- hypergeometric series
+
+
+def test_series_against_scipy():
+    rng = np.random.default_rng(89)
+    w = rng.uniform(0.0, 0.55, size=200)
+    for a, b, c in [(4.0, -3.0, 3.0), (8.5, -7.5, 3.5), (3.2, -2.2, 2.7), (1.3, -0.3, 1.1)]:
+        vals, conv, _ = _hyp2f1_batch(a, b, c, w, 1e-14, 800)
+        assert conv.all()
+        ref = sps.hyp2f1(a, b, c, w)
+        assert np.max(np.abs(vals - ref)) < 1e-12 * np.max(1.0 + np.abs(ref))
+
+
+def test_series_terminating_polynomial_exact():
+    # b a negative integer terminates the series; sums can pass through zero
+    vals, conv, _ = _hyp2f1_batch(4.0, -3.0, 3.0, np.array([0.5]), 1e-14, 100)
+    assert conv.all()
+    assert abs(vals[0] - 0.0) < 1e-15
+
+
+def test_series_nonconvergent_flagged():
+    # w = 1 makes the ratio approach 1; with a tiny term budget the kernel
+    # must report non-convergence, not a silent value
+    vals, conv, resid = _hyp2f1_batch(0.5, 0.7, 1.9, np.array([0.999]), 1e-14, 10)
+    assert not conv.any()
+    assert resid[0] > 0.0
