@@ -2,7 +2,12 @@
 half-lune triangles: closed-form eigenvalues and eigenfunctions, the exact
 first variation of the gap at the right-angled equilateral triangle, and an
 independent finite-element cross-check on the deformed domains.
+
+Importing the package loads numpy only. The finite-element module `fem`
+and its re-exported names load scipy, so they are imported on first
+access.
 """
+import importlib as _importlib
 import os as _os
 
 # Cap BLAS/OpenMP parallelism before numpy loads anywhere in the package.
@@ -12,7 +17,7 @@ if _threads:
                  "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 
-from . import fem, geometry, special, spectra, variation
+from . import geometry, special, spectra, variation
 from .errors import (
     AssemblyError,
     ConvergenceError,
@@ -21,7 +26,6 @@ from .errors import (
     SingularPointError,
     SphereGapError,
 )
-from .fem import DiscreteEigenproblem, GapSlopeResult, SolverConfig, assemble, gap_slope, numeric_gap, solve_smallest
 from .geometry import (
     CoordPoint,
     DeformationParams,
@@ -59,3 +63,20 @@ from .variation import (
 )
 
 __version__ = "0.1.0"
+
+_FEM_NAMES = frozenset({
+    "DiscreteEigenproblem", "GapSlopeResult", "SolverConfig", "assemble",
+    "gap_slope", "numeric_gap", "solve_smallest",
+})
+
+
+def __getattr__(name):
+    # `from . import fem` here would re-enter this hook for "fem"
+    if name == "fem" or name in _FEM_NAMES:
+        fem = _importlib.import_module(".fem", __name__)
+        return fem if name == "fem" else getattr(fem, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _FEM_NAMES | {"fem"})

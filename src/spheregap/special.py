@@ -23,13 +23,12 @@ finite for mu <= 0. For x < 0 two routes are used:
   machine accuracy arbitrarily close to the endpoint;
 * otherwise the general Legendre ODE is integrated numerically from x = 0
   (initial value and slope from the series) with an adaptive high-order
-  scheme at absolute tolerance 1e-12.
+  scheme at absolute tolerance 1e-12. Only this branch imports scipy.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceError, DomainError, GammaPoleError
 
@@ -141,6 +140,8 @@ def _series_many(degree, order, x, tol):
 
 def _ode_continue(degree, order, x_neg, tol):
     """Integrate the general Legendre ODE from x = 0 to negative arguments."""
+    from scipy.integrate import solve_ivp
+
     lam = degree * (degree + 1.0)
     mu2 = order * order
     y0 = [legendre_p(degree, order, 0.0, tol=tol),

@@ -225,21 +225,47 @@ def test_assemble_validation():
         solve_smallest(problem, problem.num_dof + 1)
 
 
-def test_residual_tolerance_enforced():
+@pytest.mark.parametrize("method", ["dense", "sparse"])
+def test_residual_tolerance_enforced(method):
     problem = assemble(DeformationParams(0.0, 1.0, 0.0), SolverConfig(grid_n=24))
     with pytest.raises(ConvergenceError):
-        solve_smallest(problem, 2, tol=1e-300)
+        solve_smallest(problem, 2, method=method, tol=1e-300)
 
 
-def test_solve_smallest_bitwise_across_processes():
+@pytest.mark.parametrize("partial", [1, 0])
+def test_arpack_failure_reports_reached_residual(monkeypatch, partial):
+    problem = assemble(DeformationParams(0.0, 1.0, 0.0), SolverConfig(grid_n=24))
+    vals, vecs = solve_smallest(problem, 2, method="dense")
+    # one returned pair, its eigenvalue off by 1 %: a known finite residual
+    got_vals, got_vecs = 1.01 * vals[:partial], vecs[:, :partial]
+
+    def no_convergence(*args, **kwargs):
+        raise fem.spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                           got_vals, got_vecs)
+
+    monkeypatch.setattr(fem.spla, "eigsh", no_convergence)
+    with pytest.raises(ConvergenceError) as info:
+        solve_smallest(problem, 2, method="sparse")
+    if partial:
+        mv = problem.mass @ got_vecs[:, 0]
+        expected = (np.linalg.norm(problem.stiffness @ got_vecs[:, 0] - got_vals[0] * mv)
+                    / np.linalg.norm(mv))
+        assert 0 < info.value.residual < math.inf
+        assert info.value.residual == pytest.approx(expected, rel=1e-12)
+    else:
+        assert info.value.residual == math.inf
+
+
+@pytest.mark.parametrize("method", ["dense", "sparse"])
+def test_solve_smallest_bitwise_across_processes(method):
     # a fresh interpreter must reproduce the in-process eigenvalues exactly
     problem = assemble(DeformationParams(0.0, 1.0, 0.05), SolverConfig(grid_n=24))
-    vals, _ = solve_smallest(problem, 2)
+    vals, _ = solve_smallest(problem, 2, method=method)
     code = (
         "import spheregap.fem as fem\n"
         "from spheregap.geometry import DeformationParams\n"
         "p = fem.assemble(DeformationParams(0.0, 1.0, 0.05), fem.SolverConfig(grid_n=24))\n"
-        "v, _ = fem.solve_smallest(p, 2)\n"
+        f"v, _ = fem.solve_smallest(p, 2, method={method!r})\n"
         "print(*(float(x).hex() for x in v))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -1,0 +1,66 @@
+"""What `import spheregap` loads: numpy only, with scipy deferred to the
+finite-element module and the Legendre ODE branch."""
+import subprocess
+import sys
+
+from spheregap.special import legendre_p
+
+
+def _run(code: str) -> str:
+    """Run code in a fresh interpreter and return its stdout."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    return out.stdout
+
+
+_SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+
+
+def test_closed_form_commands_load_no_scipy():
+    code = (
+        "import contextlib, io, sys\n"
+        "import spheregap\n"
+        f"print({_SCIPY_LOADED})\n"
+        "from spheregap import cli\n"
+        "commands = [\n"
+        "    ['spectrum', '--domain', 'triangle', '--beta-pi', '0.5', '--count', '3'],\n"
+        "    ['gap-curve', '--domain', 'lune', '--beta-min-pi', '0.25',\n"
+        "     '--beta-max-pi', '1.75', '--steps', '8'],\n"
+        "    ['variation', '--z-steps', '9', '--b-steps', '5'],\n"
+        "    ['verify-appendix', '--format', 'json'],\n"
+        "]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in commands]\n"
+        f"print(codes, {_SCIPY_LOADED})\n"
+    )
+    assert _run(code).splitlines() == ["False", "[0, 0, 0, 0] False"]
+
+
+def test_fem_names_resolve_lazily():
+    code = (
+        "import sys\n"
+        "import spheregap\n"
+        "print('spheregap.fem' in sys.modules, 'assemble' in dir(spheregap))\n"
+        "import spheregap.fem as fem\n"
+        "from spheregap import SolverConfig, gap_slope\n"
+        "print(spheregap.fem is fem, spheregap.assemble is fem.assemble,\n"
+        "      SolverConfig is fem.SolverConfig, gap_slope is fem.gap_slope)\n"
+        "try:\n"
+        "    spheregap.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n"
+    )
+    assert _run(code).splitlines() == ["False True", "True True True True", "AttributeError"]
+
+
+def test_ode_branch_loads_scipy_integrate_on_call():
+    # (3.7, -1.5) is not an admissible pair, so x < 0 takes the ODE branch
+    code = (
+        "import sys\n"
+        "from spheregap import legendre_p\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "value = legendre_p(3.7, -1.5, -0.5)\n"
+        "print('scipy.integrate' in sys.modules, value.hex())\n"
+    )
+    expected = legendre_p(3.7, -1.5, -0.5).hex()
+    assert _run(code).splitlines() == ["False", f"True {expected}"]
