@@ -7,15 +7,11 @@ byte-identical output. Exit codes: 0 success, 1 usage error, 2 numerical
 failure, 3 verification failure.
 """
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 
 from .errors import SphereGapError
-
-_FLOAT_FMT = ".17g"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -26,10 +22,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, _FLOAT_FMT)
-    return str(value)
+def _template(values) -> str:
+    """%-template of one CSV line: 17 significant digits for floats."""
+    return ",".join("%.17g" if isinstance(v, float) else "%s" for v in values)
 
 
 def _emit(args, command: str, params: dict, columns, rows, summary=None) -> None:
@@ -40,15 +35,15 @@ def _emit(args, command: str, params: dict, columns, rows, summary=None) -> None
             payload["summary"] = summary
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         return
-    out = io.StringIO()
-    if summary:
-        for key, value in summary.items():
-            out.write(f"# {key}={_fmt(value)}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    sys.stdout.write(out.getvalue())
+    # No cell holds a comma, quote or newline, so no cell needs CSV quoting.
+    lines = [("# %s=" + _template((value,))) % (key, value)
+             for key, value in (summary or {}).items()]
+    lines.append(",".join(columns))
+    if rows:
+        # every row of a command has the cell types of its first row
+        template = _template(rows[0])
+        lines.extend(template % tuple(row) for row in rows)
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _resolve_beta(args, name: str = "beta") -> float:
@@ -119,7 +114,7 @@ def _cmd_variation(args) -> int:
         if b is None:
             b = math.sqrt(max(0.0, 1.0 - args.a**2))
         a = math.sqrt(max(0.0, 1.0 - b**2))
-        if args.a is not None and abs(args.a - a) > 1e-9:
+        if args.a is not None and not abs(args.a - a) <= 1e-9:
             raise ValueError("direction must satisfy a = sqrt(1 - b^2)")
         a_values, b_values = np.array([a]), np.array([b])
     else:
@@ -156,10 +151,9 @@ def _cmd_solve(args) -> int:
     from .geometry import DeformationParams
 
     a, b = args.a, args.b
-    config = fem.SolverConfig(grid_n=args.grid_n, num_modes=max(args.modes, 2))
+    config = fem.SolverConfig(grid_n=args.grid_n)
     problem = fem.assemble(DeformationParams(a, b, args.t), config)
-    vals, _ = fem.solve_smallest(problem, max(args.modes, 2), method="sparse",
-                                 tol=config.tol)
+    vals, _ = fem.solve_smallest(problem, max(args.modes, 2))
     rows = [(i + 1, float(v)) for i, v in enumerate(vals[: args.modes])]
     gap = float(vals[1] - vals[0])
     _emit(args, "solve",

@@ -27,22 +27,19 @@ from .geometry import DeformationParams, metric_coefficients
 _GAUSS3_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 _GAUSS3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
+# eigenpairs per gap solve: lambda_1, the split lambda_2 pair and one above
+_GAP_MODES = 4
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid resolution and eigensolver settings."""
+    """Grid resolution of the discretization."""
 
     grid_n: int = 64          # nodes per axis
-    num_modes: int = 4        # eigenpairs to compute
-    tol: float = 1e-6         # accepted relative eigen-residual
 
     def __post_init__(self):
         if self.grid_n < 8:
             raise ValueError("grid_n must be >= 8")
-        if self.num_modes < 2:
-            raise ValueError("num_modes must be >= 2")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass
@@ -178,20 +175,18 @@ def _worst_residual(problem: DiscreteEigenproblem, vals, vecs) -> float:
 
 
 def solve_smallest(problem: DiscreteEigenproblem, m: int, *,
-                   method: str = "auto", tol: float = 1e-6):
+                   method: str = "sparse", tol: float = 1e-6):
     """m smallest generalized eigenpairs, ascending; returns (values, vectors).
 
     method "sparse" runs shift-invert Lanczos about sigma = 0 on one LU of K
     with a minimum-degree ordering of K + K^T, "dense" the LAPACK reference
-    path (intended as an oracle for moderate grids), "auto" picks by size.
+    path (an oracle for moderate grids).
     Residuals ||K v - lambda M v|| / ||M v|| are checked against tol; when
     ARPACK stops early, the ConvergenceError carries the worst residual of
     the pairs it returned.
     """
     if m > problem.num_dof:
         raise ValueError("requested more modes than retained degrees of freedom")
-    if method == "auto":
-        method = "dense" if problem.num_dof <= 2500 else "sparse"
     if method == "dense":
         vals, vecs = eigh(problem.stiffness.toarray(), problem.mass.toarray(),
                           subset_by_index=[0, m - 1])
@@ -220,9 +215,7 @@ def solve_smallest(problem: DiscreteEigenproblem, m: int, *,
 def numeric_gap(params: DeformationParams, config: SolverConfig) -> float:
     """lambda_2 - lambda_1 of the deformed triangle, eigenvalue #2 counted
     with multiplicity."""
-    problem = assemble(params, config)
-    vals, _ = solve_smallest(problem, max(config.num_modes, 3),
-                             method="sparse", tol=config.tol)
+    vals, _ = solve_smallest(assemble(params, config), _GAP_MODES)
     return float(vals[1] - vals[0])
 
 
@@ -264,24 +257,23 @@ def gap_slope(direction, t_values, config: SolverConfig) -> GapSlopeResult:
     the plain minimum baseline would leave behind.
     """
     ts = [float(t) for t in t_values]
-    if not ts or min(ts) <= 0 or any(t1 <= t2 for t1, t2 in zip(ts, ts[1:])):
+    if not (ts and all(t > 0 for t in ts) and all(t1 > t2 for t1, t2 in zip(ts, ts[1:]))):
         raise ValueError("t_values must be positive and strictly decreasing")
     a, b = direction
-    m = max(config.num_modes, 4)
 
     problem0 = assemble(DeformationParams(a, b, 0.0), config)
-    vals0, vecs0 = solve_smallest(problem0, m, method="sparse", tol=config.tol)
+    vals0, vecs0 = solve_smallest(problem0, _GAP_MODES)
 
     solved = []
     for t in ts:
         problem = assemble(DeformationParams(a, b, t), config)
-        vals, vecs = solve_smallest(problem, m, method="sparse", tol=config.tol)
+        vals, vecs = solve_smallest(problem, _GAP_MODES)
         solved.append((t, vals, vecs))
 
     lam2_base = vals0[1]
     _, _, vecs_min = solved[-1]
     v2 = vecs_min[:, 1]
-    cluster = [i for i in range(1, m)
+    cluster = [i for i in range(1, _GAP_MODES)
                if vals0[i] - vals0[1] < 1e-3 * max(1.0, vals0[1])]
     weights = np.array([abs(v2 @ (problem0.mass @ vecs0[:, i])) ** 2
                         for i in cluster])

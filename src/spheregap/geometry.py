@@ -24,6 +24,19 @@ from .errors import SingularPointError
 _HALF_PI = math.pi / 2
 
 
+def check_direction(a, b) -> None:
+    """Raise ValueError unless every (a, b) is a deformation direction.
+
+    A direction has a, b >= 0 and |a^2 + b^2 - 1| <= 1e-12. Vectorized over
+    broadcast arrays; NaN fails the unit-circle test.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if np.any(a < 0) or np.any(b < 0):
+        raise ValueError("direction components must be nonnegative")
+    if not np.all(np.abs(a * a + b * b - 1.0) <= 1e-12):
+        raise ValueError("direction must satisfy a^2 + b^2 = 1")
+
+
 @dataclass(frozen=True)
 class DeformationParams:
     """Deformation direction (a, b) on the unit circle and magnitude t >= 0."""
@@ -33,11 +46,8 @@ class DeformationParams:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError("direction components must be nonnegative")
-        if abs(self.a**2 + self.b**2 - 1.0) > 1e-12:
-            raise ValueError("direction must satisfy a^2 + b^2 = 1")
-        if self.t < 0:
+        check_direction(self.a, self.b)
+        if not self.t >= 0:
             raise ValueError("deformation magnitude t must be >= 0")
         if _HALF_PI - self.a * self.t <= 0 or _HALF_PI - self.b * self.t <= 0:
             raise ValueError("t too large: the moved apex leaves the quadrant")

@@ -22,7 +22,7 @@ finite for mu <= 0. For x < 0 two routes are used:
   to the exact parity rule P_l^mu(-x) = (-1)^(l+mu) P_l^mu(x), which keeps
   machine accuracy arbitrarily close to the endpoint;
 * otherwise the general Legendre ODE is integrated numerically from x = 0
-  (initial value and slope from the series) with an adaptive high-order
+  (initial value and slope in closed form) with an adaptive high-order
   scheme at absolute tolerance 1e-12. Only this branch imports scipy.
 """
 import math
@@ -138,14 +138,13 @@ def _series_many(degree, order, x, tol):
     return out
 
 
-def _ode_continue(degree, order, x_neg, tol):
+def _ode_continue(degree, order, x_neg):
     """Integrate the general Legendre ODE from x = 0 to negative arguments."""
     from scipy.integrate import solve_ivp
 
     lam = degree * (degree + 1.0)
     mu2 = order * order
-    y0 = [legendre_p(degree, order, 0.0, tol=tol),
-          legendre_p_dx(degree, order, 0.0, tol=tol)]
+    y0 = [legendre_p_at_zero(degree, order), legendre_p_dx(degree, order, 0.0)]
 
     def rhs(x, y):
         one_m_x2 = 1.0 - x * x
@@ -188,7 +187,7 @@ def legendre_p_many(degree: float, order: float, x, *, tol: float = DEFAULT_TOL)
             sign = -1.0 if int(round(m)) % 2 else 1.0
             out[neg] = sign * _series_many(degree, order, -x[neg], tol)
         else:
-            out[neg] = _ode_continue(degree, order, x[neg], tol)
+            out[neg] = _ode_continue(degree, order, x[neg])
     return out
 
 
@@ -202,22 +201,21 @@ def legendre_p(degree: float, order: float, x: float, *, tol: float = DEFAULT_TO
 
 
 def legendre_p_dx(degree: float, order: float, x: float, *, tol: float = DEFAULT_TOL) -> float:
-    """Derivative dP_l^mu/dx at x in [0, 1), from the series representation."""
+    """Derivative dP_l^mu/dx at x in [0, 1), from the recurrence DLMF 14.10.5
+
+        (1 - x^2) dP_l^mu/dx = (mu - l - 1) P_{l+1}^mu(x) + (l + 1) x P_l^mu(x),
+
+    which at x = 0 is the closed form (mu - l - 1) P_{l+1}^mu(0).
+    """
     if order > 0:
         raise DomainError(f"order must be <= 0, got {order}")
     if x < 0.0 or x >= 1.0:
         raise DomainError("derivative path requires x in [0, 1)")
-    a, b, c = degree + 1.0, -degree, 1.0 - order
-    w = np.array([0.5 * (1.0 - x)])
-    f, conv, resid = _hyp2f1_batch(a, b, c, w, tol, _MAX_TERMS)
-    f2, conv2, resid2 = _hyp2f1_batch(a + 1.0, b + 1.0, c + 1.0, w, tol, _MAX_TERMS)
-    if not (conv.all() and conv2.all()):
-        raise ConvergenceError(
-            "hypergeometric series did not converge",
-            float(max(resid.max(), resid2.max())),
-        )
-    pref = ((1.0 + x) / (1.0 - x)) ** (0.5 * order) / gamma_fn(1.0 - order)
-    return float(pref * (order / (1.0 - x * x) * f[0] - 0.5 * a * b / c * f2[0]))
+    if x == 0.0:
+        return (order - degree - 1.0) * legendre_p_at_zero(degree + 1.0, order)
+    p_up = legendre_p(degree + 1.0, order, x, tol=tol)
+    p = legendre_p(degree, order, x, tol=tol)
+    return ((order - degree - 1.0) * p_up + (degree + 1.0) * x * p) / (1.0 - x * x)
 
 
 def legendre_p_at_zero(degree: float, order: float) -> float:

@@ -27,6 +27,9 @@ COALESCE_RTOL = 1e-9
 # library default: finite-difference oracles amplify truncation jumps by 1/h^2
 _EVAL_TOL = 1e-13
 
+# Gauss-Legendre points per axis of the normalization integral
+_NORM_NODES = 200
+
 
 @dataclass(frozen=True)
 class LuneSpec:
@@ -183,7 +186,7 @@ def _r_max(spec) -> float:
 def _triangle_radial_scale(degree: float, order: float) -> float:
     # slope of P in x = cos(r) at the r = pi/2 edge; nonzero because the
     # radial factor vanishes there and solves a second-order ODE
-    return legendre_p_dx(degree, order, 0.0, tol=_EVAL_TOL)
+    return legendre_p_dx(degree, order, 0.0)
 
 
 def _radial_values(spec, mode: ModeIndex, r):
@@ -216,11 +219,11 @@ def eigenfunction_eval(spec, mode: ModeIndex, r: float, theta: float) -> float:
     return float(_radial_values(spec, mode, r)[0] * math.sin(x * theta))
 
 
-def normalization_constant(spec, mode: ModeIndex, *, nodes: int = 200) -> float:
+def normalization_constant(spec, mode: ModeIndex) -> float:
     """Constant c making c * eigenfunction have unit L2 norm on the domain.
 
     The norm integral (weight sin r dr dtheta) is evaluated with separated
-    Gauss-Legendre rules; `nodes` is the point count per axis.
+    _NORM_NODES-point Gauss-Legendre rules and checked against half as many.
     """
 
     def norm_sq(n):
@@ -231,8 +234,8 @@ def normalization_constant(spec, mode: ModeIndex, *, nodes: int = 200) -> float:
         ang = np.sin(x * tq)
         return float(np.sum(rw * rad**2 * np.sin(rq)) * np.sum(tw * ang**2))
 
-    full = norm_sq(nodes)
-    half = norm_sq(max(8, nodes // 2))
+    full = norm_sq(_NORM_NODES)
+    half = norm_sq(_NORM_NODES // 2)
     if abs(full - half) > 1e-9 * abs(full):
         raise ConvergenceError(
             "normalization quadrature did not settle", abs(full - half) / abs(full)

@@ -18,14 +18,13 @@ has global minimum 16/pi over z in [0, 2 pi], b in [0, 1] (a = sqrt(1-b^2)),
 which equals d/dt [4 pi / (pi/2 - t) + 10] at t = 0, the exact gap slope of
 the one-sided deformations.
 """
-import csv
-import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
+from .geometry import check_direction
 from .quadrature import gauss_legendre
 
 PI = math.pi
@@ -38,6 +37,10 @@ MODE_NAMES = ("u1", "u2_1", "u2_2")
 
 GAP_AT_BASE = 18.0
 MIN_GAP_VARIATION = 16.0 / PI
+
+# Gauss-Legendre points per axis of every pairing integral; the integrands
+# are trigonometric polynomials (times r in two terms), converged at 64
+_NODES = 64
 
 
 class _Mode:
@@ -120,9 +123,7 @@ class PairingSpec:
         for name in (self.left, self.right):
             if name not in _MODES:
                 raise ValueError(f"unknown mode {name!r}; choose from {MODE_NAMES}")
-        a, b = self.direction
-        if abs(a * a + b * b - 1.0) > 1e-12:
-            raise ValueError("direction must satisfy a^2 + b^2 = 1")
+        check_direction(*self.direction)
 
 
 @dataclass(frozen=True)
@@ -140,18 +141,16 @@ class BilinearTermTable:
         return self.terms[TERM_LABELS.index(label)]
 
 
-def pairing_terms(spec: PairingSpec, *, nodes: int = 64) -> BilinearTermTable:
+def pairing_terms(spec: PairingSpec) -> BilinearTermTable:
     """Term-by-term quadrature of integral of u_left * (L1 u_right) over the triangle.
 
     Each term is a product of a theta-integral and an r-integral evaluated by
-    `nodes`-point Gauss-Legendre rules; the integrands are trigonometric
-    polynomials (times r in two of the terms), so 64 points are already
-    converged beyond machine precision.
+    _NODES-point Gauss-Legendre rules.
     """
     a, b = spec.direction
     left, right = _MODES[spec.left], _MODES[spec.right]
-    rq, rw = gauss_legendre(0.0, PI / 2, nodes)
-    tq, tw = gauss_legendre(0.0, PI / 2, nodes)
+    rq, rw = gauss_legendre(0.0, PI / 2, _NODES)
+    tq, tw = gauss_legendre(0.0, PI / 2, _NODES)
     nn = left.norm * right.norm
     s, c = np.sin(rq), np.cos(rq)
 
@@ -170,31 +169,33 @@ def pairing_terms(spec: PairingSpec, *, nodes: int = 64) -> BilinearTermTable:
     return BilinearTermTable(terms, math.fsum(terms))
 
 
-@lru_cache(maxsize=8)
-def _direction_coefficients(nodes: int):
+@cache
+def _direction_coefficients():
     """(a-coefficient, b-coefficient) of each pairing total; totals are linear in (a, b)."""
     out = {}
     for left in MODE_NAMES:
         for right in MODE_NAMES:
             if (left == "u1") != (right == "u1"):
                 continue  # cross terms with u1 are not needed
-            ca = pairing_terms(PairingSpec(left, right, (1.0, 0.0)), nodes=nodes).total
-            cb = pairing_terms(PairingSpec(left, right, (0.0, 1.0)), nodes=nodes).total
+            ca = pairing_terms(PairingSpec(left, right, (1.0, 0.0))).total
+            cb = pairing_terms(PairingSpec(left, right, (0.0, 1.0))).total
             out[(left, right)] = (ca, cb)
     return out
 
 
-def lambda1_dot(direction, *, nodes: int = 64) -> float:
+def lambda1_dot(direction) -> float:
     """Derivative of the first eigenvalue at t = 0: -<L1 u1, u1> = 28(a+b)/pi."""
     a, b = direction
-    ca, cb = _direction_coefficients(nodes)[("u1", "u1")]
+    check_direction(a, b)
+    ca, cb = _direction_coefficients()[("u1", "u1")]
     return -(a * ca + b * cb)
 
 
-def second_eigenvalue_form(direction, *, nodes: int = 64) -> np.ndarray:
+def second_eigenvalue_form(direction) -> np.ndarray:
     """Quadratic form q -> -<L1 u2, u2> on the second eigenspace, as a 2x2 matrix."""
     a, b = direction
-    coef = _direction_coefficients(nodes)
+    check_direction(a, b)
+    coef = _direction_coefficients()
     q = np.empty((2, 2))
     q[0, 0] = -(a * coef[("u2_1", "u2_1")][0] + b * coef[("u2_1", "u2_1")][1])
     q[1, 1] = -(a * coef[("u2_2", "u2_2")][0] + b * coef[("u2_2", "u2_2")][1])
@@ -204,19 +205,16 @@ def second_eigenvalue_form(direction, *, nodes: int = 64) -> np.ndarray:
     return q
 
 
-def gap_variation_grid(z, direction, *, nodes: int = 64) -> np.ndarray:
+def gap_variation_grid(z, direction) -> np.ndarray:
     """Gap variation I(z, (a, b)) over broadcast arrays of z, a and b.
 
     z is the mixing angle of the second eigenfunction, u2 = cos(z) u2_1
-    + sin(z) u2_2; every direction must satisfy b in [0, 1] and
-    a = sqrt(1-b^2) to within 1e-9. Pass z[:, None] against 1D a and b for
-    the (z, b) grid.
+    + sin(z) u2_2; every (a, b) must pass geometry.check_direction. Pass
+    z[:, None] against 1D a and b for the (z, b) grid.
     """
     a, b = (np.asarray(c, dtype=float) for c in direction)
-    if (not np.all((0.0 <= b) & (b <= 1.0))
-            or np.any(np.abs(a - np.sqrt(1.0 - b * b)) > 1e-9)):
-        raise ValueError("direction must be (sqrt(1-b^2), b) with b in [0, 1]")
-    coef = _direction_coefficients(nodes)
+    check_direction(a, b)
+    coef = _direction_coefficients()
 
     def total(pair):
         return a * coef[pair][0] + b * coef[pair][1]
@@ -228,9 +226,9 @@ def gap_variation_grid(z, direction, *, nodes: int = 64) -> np.ndarray:
     return -u2_part + total(("u1", "u1"))
 
 
-def gap_variation_I(z: float, direction, *, nodes: int = 64) -> float:
+def gap_variation_I(z: float, direction) -> float:
     """Gap variation I(z, (a, b)) at one point; see gap_variation_grid."""
-    return float(gap_variation_grid(z, direction, nodes=nodes))
+    return float(gap_variation_grid(z, direction))
 
 
 def gap_variation_I_closed(z: float, b: float) -> float:
@@ -248,12 +246,11 @@ class VariationMinimum:
     b: float
 
 
-def minimize_gap_variation(z_steps: int = 2000, b_steps: int = 2000,
-                           *, nodes: int = 64) -> VariationMinimum:
+def minimize_gap_variation(z_steps: int = 2000, b_steps: int = 2000) -> VariationMinimum:
     """Grid minimum of I(z, b) over [0, 2 pi] x [0, 1]; expected value 16/pi."""
     zg = np.linspace(0.0, 2.0 * PI, max(z_steps, 1))
     bg = np.linspace(0.0, 1.0, max(b_steps, 1))
-    vals = gap_variation_grid(zg[:, None], (np.sqrt(1.0 - bg**2), bg), nodes=nodes)
+    vals = gap_variation_grid(zg[:, None], (np.sqrt(1.0 - bg**2), bg))
     iz, ib = np.unravel_index(np.argmin(vals), vals.shape)
     return VariationMinimum(float(vals[iz, ib]), float(zg[iz]), float(bg[ib]))
 
@@ -344,17 +341,8 @@ class AppendixReport:
     def failures(self):
         return [e for e in self.entries if not e.passed]
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["label", "computed", "expected", "abs_err"])
-        for e in self.entries:
-            writer.writerow([e.label, format(e.computed, ".17g"),
-                             format(e.expected, ".17g"), format(e.abs_err, ".17g")])
-        return buf.getvalue()
 
-
-def verify_appendix(*, nodes: int = 64, tol: float = 1e-9) -> AppendixReport:
+def verify_appendix(*, tol: float = 1e-9) -> AppendixReport:
     """Compare every pairing term and total against its printed closed form.
 
     Terms I..IV are checked at direction (a, b) = (0, 1) and term V at
@@ -364,15 +352,15 @@ def verify_appendix(*, nodes: int = 64, tol: float = 1e-9) -> AppendixReport:
     """
     entries = []
     for pair, expected in _EXPECTED_TERMS.items():
-        got_b = pairing_terms(PairingSpec(*pair, (0.0, 1.0)), nodes=nodes)
-        got_a = pairing_terms(PairingSpec(*pair, (1.0, 0.0)), nodes=nodes)
+        got_b = pairing_terms(PairingSpec(*pair, (0.0, 1.0)))
+        got_a = pairing_terms(PairingSpec(*pair, (1.0, 0.0)))
         computed = (*got_b.terms[:4], got_a.terms[4])
         for label, comp, exp in zip(TERM_LABELS, computed, expected):
             err = abs(comp - exp)
             entries.append(AppendixEntry(
                 f"{pair[0]}*{pair[1]}:{label}", comp, exp, err, err < tol))
         a, b = _TOTAL_CHECK_DIRECTION
-        tot = pairing_terms(PairingSpec(*pair, (a, b)), nodes=nodes).total
+        tot = pairing_terms(PairingSpec(*pair, (a, b))).total
         exp_tot = a * _EXPECTED_TOTALS[pair][0] + b * _EXPECTED_TOTALS[pair][1]
         err = abs(tot - exp_tot)
         entries.append(AppendixEntry(

@@ -3,20 +3,33 @@ import csv
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from spheregap.cli import main
+from spheregap.cli import build_parser, main
 
 PI = math.pi
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _usage_error(capsys, *argv):
+    """stderr of a command that must exit 1 with one error line and no stdout."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("spheregap: error:") == 1
+    return captured.err
 
 
 def _parse_csv(text):
@@ -133,6 +146,16 @@ def test_variation_single_evaluation(capsys):
     assert abs(float(rows[0][2]) - 16.0 / PI) < 1e-9
 
 
+def test_variation_direction_errors(capsys):
+    for flags, message in (
+        (["--a", "1.5"], "a = sqrt(1 - b^2)"),
+        (["--b", "1.5"], "a^2 + b^2 = 1"),
+        (["--a", "0.6", "--b", "0.6"], "a = sqrt(1 - b^2)"),
+        (["--a", "nan"], "a = sqrt(1 - b^2)"),
+    ):
+        assert message in _usage_error(capsys, "variation", *flags, "--z-steps", "5")
+
+
 # ------------------------------------------------------------ verification
 
 
@@ -143,7 +166,9 @@ def test_verify_appendix_cli(capsys):
     assert header == ["label", "computed", "expected", "abs_err"]
     assert len(rows) == 30
     assert summary["passed"] == "1"
-    assert all(float(r[3]) < 1e-9 for r in rows)
+    for label, computed, expected, abs_err in rows:  # four fields, three numeric
+        float(computed), float(expected)
+        assert float(abs_err) < 1e-9
 
 
 # ------------------------------------------------------------ solver
@@ -179,12 +204,17 @@ def test_gap_slope_cli(capsys):
 
 
 def test_solve_direction_validation(capsys):
-    # off the unit circle by 1, and by 1e-10 (ten-digit rounding of cos(pi/4))
+    # off the unit circle by 1, by 1e-10 (ten-digit rounding of cos(pi/4)), NaN
     for command in ("solve", "gap-slope"):
-        for a, b in (("1", "1"), ("0.7071067812", "0.7071067812")):
-            code = main([command, "--a", a, "--b", b, "--grid-n", "24"])
-            assert code == 1
-            assert "direction must satisfy a^2 + b^2 = 1" in capsys.readouterr().err
+        for a, b in (("1", "1"), ("0.7071067812", "0.7071067812"), ("nan", "1")):
+            err = _usage_error(capsys, command, "--a", a, "--b", b, "--grid-n", "24")
+            assert "direction must satisfy a^2 + b^2 = 1" in err
+    err = _usage_error(capsys, "solve", "--a", "0", "--b", "1", "--t", "nan",
+                       "--grid-n", "24")
+    assert "deformation magnitude t must be >= 0" in err
+    err = _usage_error(capsys, "gap-slope", "--a", "0", "--b", "1", "--t-list", "nan",
+                       "--grid-n", "24")
+    assert "t_values must be positive and strictly decreasing" in err
 
 
 def test_gap_slope_bad_t_list(capsys):
@@ -202,29 +232,29 @@ def test_gap_slope_bad_t_list(capsys):
      "--beta-max-pi", "1.4", "--steps", "7"],
     ["variation", "--a", "1", "--b", "0", "--z-steps", "11"],
     ["verify-appendix"],
+    ["variation", "--z-steps", "13", "--b-steps", "5"],
+    ["solve", "--a", "0.6", "--b", "0.8", "--t", "0.05", "--grid-n", "20"],
+    ["gap-slope", "--a", "1", "--b", "0", "--grid-n", "16"],
 ])
 def test_json_csv_payloads_identical(capsys, argv):
     code, out_csv = _run(capsys, *argv)
     assert code == 0
     code, out_json = _run(capsys, *argv, "--format", "json")
     assert code == 0
-    summary_csv, header, rows = _parse_csv(out_csv)
+    # the stdlib writer over the JSON payload is the reference for every CSV byte
     payload = json.loads(out_json)
-    assert [dict(zip(header, r)) for r in rows]
-    assert len(rows) == len(payload["rows"])
-    for row, jrow in zip(rows, payload["rows"]):
-        for col, val in zip(header, row):
-            jval = jrow[col]
-            if isinstance(jval, float):
-                assert float(val) == jval
-            elif isinstance(jval, int):
-                assert int(float(val)) == jval
-            else:
-                assert val == str(jval)
-    if "summary" in payload:
-        for key, jval in payload["summary"].items():
-            if isinstance(jval, float):
-                assert float(summary_csv[key]) == jval
+
+    def cell(value):
+        return format(value, ".17g") if isinstance(value, float) else str(value)
+
+    reference = io.StringIO()
+    for key, value in payload.get("summary", {}).items():
+        reference.write(f"# {key}={cell(value)}\n")
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(payload["rows"][0])
+    for row in payload["rows"]:
+        writer.writerow([cell(v) for v in row.values()])
+    assert out_csv == reference.getvalue()
 
 
 def test_byte_identical_reruns(capsys):
@@ -242,6 +272,21 @@ def test_byte_identical_reruns(capsys):
     _, first = _run(capsys, *argv)
     _, second = _run(capsys, *argv)
     assert first == second
+
+
+def test_readme_commands_parse_and_run(capsys):
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("spheregap ")]
+    parser = build_parser()
+    parsed = [parser.parse_args(argv) for argv in commands]
+    assert {args.command for args in parsed} == {
+        "spectrum", "gap-curve", "variation", "verify-appendix", "solve", "gap-slope"}
+    for argv, args in zip(commands, parsed):
+        if args.command not in ("solve", "gap-slope"):
+            assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_console_entry_point_subprocess():

@@ -19,10 +19,6 @@ PI = math.pi
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(grid_n=4)
-    with pytest.raises(ValueError):
-        SolverConfig(num_modes=1)
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
 
 
 def test_round_metric_sampled_exactly_at_t_zero():
@@ -210,6 +206,9 @@ def test_gap_slope_validation():
         gap_slope((0.0, 1.0), [], cfg)
     with pytest.raises(ValueError):
         gap_slope((0.0, 1.0), [0.01, -0.005], cfg)
+    for t_values in ([math.nan], [0.02, math.nan]):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            gap_slope((0.0, 1.0), t_values, cfg)
 
 
 def test_assemble_validation():

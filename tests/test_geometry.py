@@ -10,6 +10,7 @@ from spheregap.geometry import (
     DeformationParams,
     FieldSample,
     apex_offset,
+    check_direction,
     deform_jacobian,
     deform_map,
     first_order_operator_apply,
@@ -109,13 +110,30 @@ def test_apex_offset_defining_identity():
         assert abs(side_distance(z, PI / 2 - a * t) - b * t) < 1e-12
 
 
+def test_check_direction():
+    b = np.linspace(0.0, 1.0, 201)
+    check_direction(np.sqrt(1.0 - b * b), b)
+    check_direction(0.6, 0.8)
+    check_direction(1.0 + 4e-13, 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_direction(np.array([0.6, -0.6]), np.array([0.8, 0.8]))
+    for a, b in ((1.0 + 1e-12, 0.0), (0.7071067812, 0.7071067812), (math.nan, 1.0),
+                 (0.0, math.nan), (np.array([1.0, 3.0]), np.array([0.0, 4.0]))):
+        with pytest.raises(ValueError, match=r"a\^2 \+ b\^2 = 1"):
+            check_direction(a, b)
+
+
 def test_deformation_params_validation():
     with pytest.raises(ValueError):
         DeformationParams(0.5, 0.5, 0.0)  # not unit
     with pytest.raises(ValueError):
         DeformationParams(-0.6, 0.8, 0.0)
+    with pytest.raises(ValueError, match=r"a\^2 \+ b\^2 = 1"):
+        DeformationParams(math.nan, 1.0, 0.0)
     with pytest.raises(ValueError):
         DeformationParams(0.0, 1.0, -0.1)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        DeformationParams(0.0, 1.0, math.nan)
     with pytest.raises(ValueError):
         DeformationParams(0.0, 1.0, 2.0)  # apex leaves the quadrant
 

@@ -182,6 +182,18 @@ def test_derivative_matches_finite_difference():
         assert abs(fd - an) < 1e-7 * max(1.0, abs(an))
 
 
+@pytest.mark.parametrize("beta, k, j", [(0.3, 3, 2), (0.2, 3, 0)])
+def test_triangle_edge_slope_against_mpmath(beta, k, j):
+    # the slope at x = 0 that scales the thin-triangle radial factor
+    import mpmath
+
+    x = k * math.pi / beta
+    ell, mu = x + 2 * j + 1, -x
+    with mpmath.workdps(40):
+        ref = mpmath.diff(lambda y: mpmath.legenp(ell, mu, y), 0)
+        assert abs(legendre_p_dx(ell, mu, 0.0) - ref) <= 1e-12 * abs(ref)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         legendre_p(3.0, -2.0, -1.0)

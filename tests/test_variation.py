@@ -14,6 +14,7 @@ from spheregap.variation import (
     BilinearTermTable,
     PairingSpec,
     gap_slope_reference,
+    gap_variation_grid,
     gap_variation_I,
     gap_variation_I_closed,
     lambda1_dot,
@@ -53,7 +54,7 @@ def test_pairing_totals_match_closed_forms():
     for pair, ref in expected.items():
         for a, b in directions:
             total = pairing_terms(PairingSpec(*pair, (a, b))).total
-            assert abs(total - ref(a, b)) < 1e-9
+            assert abs(total - ref(a, b)) < 1e-12
 
 
 def test_mixed_pairing_equals_sqrtC2C3_form():
@@ -99,13 +100,6 @@ def test_terms_separability_against_2d_quadrature():
         assert abs(table_a.terms[4] - a_term) < 1e-9
 
 
-def test_quadrature_already_converged():
-    for pair in (("u1", "u1"), ("u2_2", "u2_2"), ("u2_1", "u2_2")):
-        t64 = pairing_terms(PairingSpec(*pair, (0.6, 0.8)), nodes=64).total
-        t128 = pairing_terms(PairingSpec(*pair, (0.6, 0.8)), nodes=128).total
-        assert abs(t64 - t128) < 1e-11
-
-
 def test_bilinear_table_validation():
     with pytest.raises(ValueError):
         BilinearTermTable((1.0, 0.0, 0.0, 0.0, 0.0), 2.0)
@@ -113,6 +107,8 @@ def test_bilinear_table_validation():
         PairingSpec("u1", "nope")
     with pytest.raises(ValueError):
         PairingSpec("u1", "u1", (1.0, 1.0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        PairingSpec("u1", "u1", (-1.0, 0.0))
 
 
 # ------------------------------------------------------------ lambda1 dot
@@ -123,6 +119,13 @@ def test_lambda1_dot_values():
     assert abs(lambda1_dot((1.0, 0.0)) - 28.0 / PI) < 1e-10
     s = 1.0 / math.sqrt(2.0)
     assert abs(lambda1_dot((s, s)) - 28.0 * math.sqrt(2.0) / PI) < 1e-10
+
+
+def test_direction_derivatives_validate_direction():
+    with pytest.raises(ValueError, match=r"a\^2 \+ b\^2 = 1"):
+        lambda1_dot((2.0, 0.0))
+    with pytest.raises(ValueError, match=r"a\^2 \+ b\^2 = 1"):
+        second_eigenvalue_form((3.0, 4.0))
 
 
 def test_second_eigenvalue_form_eigenvalues():
@@ -148,6 +151,9 @@ def test_gap_variation_matches_closed_form():
 def test_gap_variation_direction_validation():
     with pytest.raises(ValueError):
         gap_variation_I(0.3, (0.9, 0.9))
+    b = np.array([0.0, np.nan, 1.0])
+    with pytest.raises(ValueError, match=r"a\^2 \+ b\^2 = 1"):
+        gap_variation_grid(np.zeros((4, 1)), (np.sqrt(1.0 - b * b), b))
 
 
 def test_minimum_on_the_pure_a_branch():
@@ -200,13 +206,3 @@ def test_verify_appendix_reports_failures_instead_of_passing_silently():
     report = verify_appendix(tol=1e-18)
     assert not report.passed
     assert len(report.failures()) > 0
-
-
-def test_verify_appendix_csv_shape():
-    text = verify_appendix().to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "label,computed,expected,abs_err"
-    assert len(lines) == 31
-    row = lines[1].split(",")
-    assert len(row) == 4
-    float(row[1]), float(row[2]), float(row[3])
