@@ -150,6 +150,8 @@ def _cmd_solve(args) -> int:
     from . import fem
     from .geometry import DeformationParams
 
+    if args.modes < 1:
+        raise ValueError("--modes must be >= 1")
     a, b = args.a, args.b
     config = fem.SolverConfig(grid_n=args.grid_n)
     problem = fem.assemble(DeformationParams(a, b, args.t), config)

@@ -217,6 +217,13 @@ def test_solve_direction_validation(capsys):
     assert "t_values must be positive and strictly decreasing" in err
 
 
+def test_solve_modes_must_be_positive(capsys):
+    for modes in ("0", "-1"):
+        err = _usage_error(capsys, "solve", "--a", "0", "--b", "1", "--grid-n", "16",
+                           "--modes", modes)
+        assert "--modes must be >= 1" in err
+
+
 def test_gap_slope_bad_t_list(capsys):
     code, _ = _run(capsys, "gap-slope", "--a", "0", "--b", "1",
                    "--t-list", "0.02,zap", "--grid-n", "24")
@@ -272,6 +279,17 @@ def test_byte_identical_reruns(capsys):
     _, first = _run(capsys, *argv)
     _, second = _run(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--a", "1", "--b", "0", "--t", "0.05", "--grid-n", "32"],
+    ["gap-slope", "--a", "0.6", "--b", "0.8", "--grid-n", "24"],
+])
+def test_fem_commands_byte_identical_across_processes(argv):
+    runs = [subprocess.run([sys.executable, "-m", "spheregap.cli", *argv],
+                           capture_output=True, check=True).stdout
+            for _ in range(2)]
+    assert runs[0] and runs[0] == runs[1]
 
 
 def test_readme_commands_parse_and_run(capsys):

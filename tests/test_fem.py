@@ -1,10 +1,12 @@
 """Tests for the finite-element eigensolver on the pullback metric."""
+import hashlib
 import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import spheregap.fem as fem
 from spheregap.errors import ConvergenceError
@@ -222,18 +224,26 @@ def test_assemble_validation():
     problem = assemble(DeformationParams(0.0, 1.0, 0.0), cfg)
     with pytest.raises(ValueError):
         solve_smallest(problem, problem.num_dof + 1)
+    for method in ("sparse", "dense"):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            solve_smallest(problem, 0, method=method)
+
+
+# an off-axis deformation at t > 0 is not separable, so "sparse" runs Lanczos
+_OFF_AXIS = DeformationParams(0.6, 0.8, 0.01)
 
 
 @pytest.mark.parametrize("method", ["dense", "sparse"])
 def test_residual_tolerance_enforced(method):
-    problem = assemble(DeformationParams(0.0, 1.0, 0.0), SolverConfig(grid_n=24))
+    problem = assemble(_OFF_AXIS, SolverConfig(grid_n=24))
+    assert problem._separable is None
     with pytest.raises(ConvergenceError):
         solve_smallest(problem, 2, method=method, tol=1e-300)
 
 
 @pytest.mark.parametrize("partial", [1, 0])
 def test_arpack_failure_reports_reached_residual(monkeypatch, partial):
-    problem = assemble(DeformationParams(0.0, 1.0, 0.0), SolverConfig(grid_n=24))
+    problem = assemble(_OFF_AXIS, SolverConfig(grid_n=24))
     vals, vecs = solve_smallest(problem, 2, method="dense")
     # one returned pair, its eigenvalue off by 1 %: a known finite residual
     got_vals, got_vecs = 1.01 * vals[:partial], vecs[:, :partial]
@@ -278,3 +288,118 @@ def test_neville_extrapolation_linear_exact():
     ys = [3.0 + 5.0 * t for t in ts]
     levels = fem._neville_to_zero(ts, ys)
     assert abs(levels[-1] - 3.0) < 1e-12
+
+
+def _pointwise_assemble(params, n):
+    """K and M with one metric sample per Gauss point and the Dirichlet rows
+    and columns sliced off the summed CSR matrices."""
+    hx = hy = (PI / 2) / (n - 1)
+    wq, phi, dphx, dphy = fem._reference_basis()
+    nc = n - 1
+    ci, cj = np.meshgrid(np.arange(nc), np.arange(nc), indexing="ij")
+    ci, cj = ci.ravel(), cj.ravel()
+    xi, eta = np.meshgrid(fem._GAUSS3_NODES, fem._GAUSS3_NODES, indexing="ij")
+    rq = (ci[:, None] + xi.ravel()[None, :]) * hx
+    tq = (cj[:, None] + eta.ravel()[None, :]) * hy
+    w11, w12, w22, m = metric_coefficients(params, rq, tq)
+    scale = wq[None, :] * (hx * hy)
+    kloc, mloc = fem._local_matrices(w11 * scale / hx**2, w12 * scale / (hx * hy),
+                                     w22 * scale / hy**2, m * scale, phi, dphx, dphy)
+    conn = np.stack([ci * n + cj, (ci + 1) * n + cj, ci * n + cj + 1,
+                     (ci + 1) * n + cj + 1], axis=1)
+    rows = np.repeat(conn, 4, axis=1).ravel()
+    cols = np.tile(conn, (1, 4)).ravel()
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    keep = np.flatnonzero(~((jj == 0) | (jj == n - 1) | (ii == n - 1)).ravel())
+    return [sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(n * n,) * 2).tocsr()[keep][:, keep]
+            for loc in (kloc, mloc)]
+
+
+@pytest.mark.parametrize("n", [24, 64])
+@pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)])
+def test_assembly_matches_pointwise_sampling(n, direction):
+    params = DeformationParams(*direction, 0.03)
+    problem = assemble(params, SolverConfig(grid_n=n))
+    for got, ref in zip((problem.stiffness, problem.mass), _pointwise_assemble(params, n)):
+        ref.sort_indices()
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.max(np.abs(got.data - ref.data) / np.abs(ref.data)) <= 1e-15
+
+
+_SEPARABLE_CASES = {
+    # thin enough that the four smallest eigenvalues share theta mode 1
+    "triangle-eighth": (DeformationParams(0.0, 1.0, 0.0), PI / 8, "triangle"),
+    "triangle-quarter": (DeformationParams(0.0, 1.0, 0.0), PI / 4, "triangle"),
+    "triangle-half": (DeformationParams(0.0, 1.0, 0.0), PI / 2, "triangle"),
+    "triangle-three-quarters": (DeformationParams(0.0, 1.0, 0.0), 3 * PI / 4, "triangle"),
+    "lune-half": (DeformationParams(0.0, 1.0, 0.0), PI / 2, "lune"),
+    "axis-deformed": (DeformationParams(1.0, 0.0, 0.05), PI / 2, "triangle"),
+}
+
+
+def _separable_problem(case, n=10):
+    params, beta, domain = _SEPARABLE_CASES[case]
+    problem = assemble(params, SolverConfig(grid_n=n), beta=beta, domain=domain)
+    assert problem._separable is not None
+    return problem
+
+
+@pytest.mark.parametrize("case", sorted(_SEPARABLE_CASES))
+@pytest.mark.parametrize("modes", [1, 4, "all"])
+def test_separable_solve_matches_dense(case, modes):
+    problem = _separable_problem(case)
+    m = problem.num_dof if modes == "all" else modes
+    vals, vecs = solve_smallest(problem, m)
+    ref_vals, ref_vecs = solve_smallest(problem, m, method="dense")
+    assert vals.shape == (m,) and vecs.shape == (problem.num_dof, m)
+    assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-10
+    # eigenvectors are unique up to sign where the eigenvalue is simple; the
+    # neighbour above the last requested one is needed to tell
+    everything, _ = solve_smallest(problem, problem.num_dof, method="dense")
+    near = np.minimum(np.abs(everything - np.roll(everything, 1)),
+                      np.abs(everything - np.roll(everything, -1)))[:m]
+    simple = near > 1e-6 * everything[:m]
+    assert simple[0]
+    cos = (np.abs(np.sum(vecs * ref_vecs, axis=0))
+           / (np.linalg.norm(vecs, axis=0) * np.linalg.norm(ref_vecs, axis=0)))
+    assert np.all(cos[simple] >= 1 - 1e-10)
+    # M-orthonormal like the dense answer
+    gram = vecs.T @ (problem.mass @ vecs)
+    assert np.max(np.abs(gram - np.eye(m))) < 1e-10
+
+
+def test_separable_path_skips_the_2d_factorization(monkeypatch):
+    def no_lu(*args, **kwargs):
+        raise AssertionError("2D LU factorization on a separable problem")
+
+    monkeypatch.setattr(fem.spla, "splu", no_lu)
+    for case in _SEPARABLE_CASES:
+        vals, _ = solve_smallest(_separable_problem(case, n=24), 4)
+        assert np.all(np.diff(vals) >= 0)
+    with pytest.raises(AssertionError, match="2D LU"):
+        solve_smallest(assemble(_OFF_AXIS, SolverConfig(grid_n=24)), 4)
+
+
+def test_separable_answers_pass_residual_gate():
+    problem = _separable_problem("axis-deformed", n=24)
+    with pytest.raises(ConvergenceError) as info:
+        solve_smallest(problem, 4, tol=1e-300)
+    assert 0 < info.value.residual < 1e-9
+
+
+def test_separable_solve_bitwise_across_processes():
+    problem = _separable_problem("axis-deformed", n=24)
+    vals, vecs = solve_smallest(problem, 4)
+    code = (
+        "import hashlib\n"
+        "import spheregap.fem as fem\n"
+        "from spheregap.geometry import DeformationParams\n"
+        "p = fem.assemble(DeformationParams(1.0, 0.0, 0.05), fem.SolverConfig(grid_n=24))\n"
+        "v, x = fem.solve_smallest(p, 4)\n"
+        "print(*(float(y).hex() for y in v), hashlib.sha256(x.tobytes()).hexdigest())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ([float(x).hex() for x in vals]
+                                  + [hashlib.sha256(vecs.tobytes()).hexdigest()])
