@@ -4,8 +4,9 @@ first variation of the gap at the right-angled equilateral triangle, and an
 independent finite-element cross-check on the deformed domains.
 
 Importing the package loads numpy only. The finite-element module `fem`
-and its re-exported names load scipy, so they are imported on first
-access.
+and its re-exported names are imported on first access; they need numpy
+only as well. scipy loads only for the Legendre ODE branch and for the
+dense test oracle `fem.solve_smallest(method="dense")`.
 """
 import importlib as _importlib
 import os as _os

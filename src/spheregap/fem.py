@@ -4,10 +4,12 @@ The deformed triangles are solved on the fixed coordinate rectangle with the
 exact pullback metric: the weak form only needs the coefficient fields
 (g^ij sqrt(det g)) and sqrt(det g) supplied by the geometry module, so no
 metric derivatives enter. Q1 tensor-product elements on a uniform grid with
-a 3x3 Gauss rule per cell; Dirichlet rows are eliminated on the edges
+a 3x3 Gauss rule per cell; Dirichlet nodes are eliminated on the edges
 theta = 0, theta = beta and (for triangles) r = r_max, while pole edges keep
 their nodes: the measure sqrt(det g) vanishes there, which makes the
-discrete problem well posed without a boundary condition.
+discrete problem well posed without a boundary condition. The retained
+nodes form an (n_r, n - 2) rectangle, so K and M are stored as 9-point
+stencils on it (StencilMatrix).
 
 A problem is separable when its fields depend on r only: at t = 0 (triangle
 or lune, any beta) and along the direction (1, 0), where b = 0 makes the
@@ -15,21 +17,24 @@ apex offset z vanish and T(t) is the half-lune triangle of angle pi/2 - t.
 Then K = K_r[w11] (x) M_theta + M_r[w22] (x) K_theta and
 M = M_r[m] (x) M_theta, the theta pencil has discrete sine eigenvectors, and
 solve_smallest(method="sparse") solves one small radial pencil per theta
-mode instead of factoring the 2D K (fast diagonalization, Lynch, Rice &
-Thomas 1964). The 2D K and M are still assembled, and every separable answer
-passes the same residual check on them as a Lanczos answer.
+mode (fast diagonalization, Lynch, Rice & Thomas 1964). Every other problem
+is a t > 0 deformation of the round (t = 0) problem on the same grid, whose
+stiffness K0 is spectrally equivalent to K(t) uniformly in h. Block LOBPCG
+(Knyazev 2001) solves it, started from the exact t = 0 eigenvectors and
+preconditioned by the exact inverse of K0: a sine transform in theta, one
+tridiagonal radial solve per theta mode, and the inverse transform. Every
+answer passes the same residual check on the 2D K and M.
 
 Independent of the closed-form spectra, this provides numeric eigenvalues
 lambda_i(t), gaps, and finite-difference gap slopes for the deformation
-family.
+family. The module needs numpy only; method="dense", the LAPACK oracle of
+the tests, imports scipy.linalg when it is called.
 """
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
 
 from .errors import AssemblyError, ConvergenceError
 from .geometry import DeformationParams, metric_coefficients
@@ -40,10 +45,19 @@ _GAUSS3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 # eigenpairs per gap solve: lambda_1, the split lambda_2 pair and one above
 _GAP_MODES = 4
 
-# ARPACK's default tol = 0 (machine precision) adds one whole implicit restart
-# to a 4-pair shift-invert solve, and that restart moved no eigenvalue by more
-# than 3.2e-15 relative on grids n = 64 to 256 at t = 0 to 0.05.
-_ARPACK_TOL = 1e-12
+# LOBPCG stops once its m leading pairs have ||K v - lambda M v|| / ||M v||
+# at or below the caller's tol clipped to [_LOBPCG_RTOL_MIN, _LOBPCG_RTOL]
+# |lambda|. The upper end sets the accuracy; the lower end keeps the
+# iteration above its rounding floor (8e-12 |lambda| at n = 256), where the
+# updated K x and M x drift from the true products and the Rayleigh-Ritz
+# step feeds the drift back until the residual grows again.
+_LOBPCG_RTOL = 1e-9
+_LOBPCG_RTOL_MIN = 1e-10
+# iterations before ConvergenceError; t = 1 at n = 64 took 31, t = 1.257
+# along (0, 1) (0.8 of the largest t) took 118 at n = 64 and 153 at n = 128
+_LOBPCG_MAX_ITER = 200
+# consecutive t = 0 eigenvalues closer than this (relative) share a cluster
+_CLUSTER_GAP = 0.1
 
 
 @dataclass(frozen=True)
@@ -57,35 +71,220 @@ class SolverConfig:
             raise ValueError("grid_n must be >= 8")
 
 
-@dataclass(frozen=True)
+class StencilMatrix:
+    """Symmetric 9-point operator on the retained (n_r, n_theta) node rectangle.
+
+    coef[1 + dr, 1 + dt, i, j] is the entry in the row of node (i, j) and the
+    column of node (i + dr, j + dt), with node (i, j) numbered
+    i * n_theta + j; entries that would reach outside the rectangle are zero.
+    `A @ x` takes a vector or a block of columns.
+    """
+
+    def __init__(self, coef: np.ndarray):
+        self.coef = coef
+
+    @property
+    def shape(self) -> tuple:
+        size = self.coef.shape[2] * self.coef.shape[3]
+        return (size, size)
+
+    @property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.coef))
+
+    def diagonal(self) -> np.ndarray:
+        return self.coef[1, 1].ravel()
+
+    @cached_property
+    def _shifts(self):
+        """(flat shift, coefficients, output slice) of each off-centre offset.
+
+        In the flat numbering offset (dr, dt) is the shift dr * n_theta + dt;
+        where it wraps across a radial row its coefficient is zero."""
+        n_t = self.coef.shape[3]
+        flat = self.coef.reshape(3, 3, -1)
+        size = flat.shape[2]
+        shifts = []
+        for dr in (-1, 0, 1):
+            for dt in (-1, 0, 1):
+                shift = dr * n_t + dt
+                if shift:
+                    shifts.append((shift, flat[1 + dr, 1 + dt],
+                                   slice(max(0, -shift), size - max(0, shift))))
+        return shifts
+
+    def apply_rows(self, x: np.ndarray) -> np.ndarray:
+        """A applied to every row of a (k, n) block, one row at a time so
+        that a row, its image and a product stay in cache."""
+        centre = self.coef[1, 1].ravel()
+        y = np.empty_like(x)
+        tmp = np.empty(x.shape[1])
+        for xi, yi in zip(x, y):
+            np.multiply(centre, xi, out=yi)
+            for shift, c, out in self._shifts:
+                prod = tmp[out]
+                np.multiply(c[out], xi[out.start + shift:out.stop + shift], out=prod)
+                yi[out] += prod
+        return y
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        rows = np.ascontiguousarray(x.reshape(self.shape[0], -1).T)
+        return self.apply_rows(rows).T.reshape(x.shape)
+
+    def toarray(self) -> np.ndarray:
+        out = np.diag(self.coef[1, 1].ravel())
+        for shift, c, rows in self._shifts:
+            ids = np.arange(rows.start, rows.stop)
+            out[ids, ids + shift] = c[rows]
+        return out
+
+
+def _pencil_eigh(a, b):
+    """All eigenpairs of the pencil (a, b), both positive definite, ascending
+    and b-orthonormal.
+
+    The reduction factors a = L L^T and diagonalizes L^-1 b L^-T, whose
+    eigenvalues are 1/lambda. Its largest ones, the smallest lambda, come out
+    accurate to rounding; reducing with the Cholesky factor of b instead (as
+    LAPACK's sygv does) loses digits to the small mass of the pole rows.
+    """
+    l_inv = np.linalg.inv(np.linalg.cholesky(a))
+    c = l_inv @ b @ l_inv.T
+    inv_vals, vecs = np.linalg.eigh(0.5 * (c + c.T))
+    inv_vals, vecs = inv_vals[::-1], vecs[:, ::-1]
+    return 1.0 / inv_vals, (l_inv.T @ vecs) / np.sqrt(inv_vals)
+
+
 class _SeparableFactors:
     """1D factors of a problem whose coefficient fields depend on r only.
 
     K = stiffness_r (x) M_theta + weight_r (x) K_theta and
-    M = mass_r (x) M_theta, with dense radial matrices on the retained radial
-    nodes and the constant-coefficient Q1 theta pair on the n_theta interior
-    nodes of a grid of step h_theta.
+    M = mass_r (x) M_theta, with tridiagonal radial matrices on the retained
+    radial nodes and the constant-coefficient Q1 theta pair on the n_theta
+    interior nodes of a grid of step h_theta.
+
+    Theta mode k (k = 1 .. n_theta) has the sine vector s_k(j) =
+    sin(k pi j / (n_theta + 1)), M_theta-normalized here, and the eigenvalue
+    mu_k of the theta pencil; it leaves the radial pencil
+    (K_r + mu_k M_r[w22]) x = lambda M_r[m] x, and x (x) s_k is an
+    eigenvector of the 2D pencil.
     """
 
-    stiffness_r: np.ndarray     # K_r[w11]
-    weight_r: np.ndarray        # M_r[w22]
-    mass_r: np.ndarray          # M_r[m]
-    h_theta: float
-    n_theta: int
+    def __init__(self, stiffness_r, weight_r, mass_r, h_theta, n_theta):
+        self.stiffness_r = stiffness_r      # K_r[w11]
+        self.weight_r = weight_r            # M_r[w22]
+        self.mass_r = mass_r                # M_r[m]
+        self.h_theta = h_theta
+        self.n_theta = n_theta
+        # eigenpairs of the radial pencils, one entry per theta mode so far
+        self._radial_pairs = []
+
+    @cached_property
+    def _theta_modes(self):
+        """(mu_k, M_theta-orthonormal sine matrix with column k - 1 = s_k)."""
+        n_t = self.n_theta
+        phase = np.arange(1, n_t + 1) * math.pi / (n_t + 1)
+        # 1 - cos(phase) written as 2 sin^2(phase / 2), exact in relative terms
+        mu = 12.0 / self.h_theta**2 * np.sin(0.5 * phase) ** 2 / (2.0 + np.cos(phase))
+        # s_k^T M_theta s_k = (h_theta / 6)(4 + 2 cos(phase)) (n_t + 1) / 2
+        s_norm = np.sqrt(self.h_theta * (2.0 + np.cos(phase)) * (n_t + 1) / 6.0)
+        j = np.arange(1, n_t + 1)
+        return mu, np.sin(np.outer(j, phase)) / s_norm
+
+    def _mode(self, k: int):
+        """All eigenpairs of the radial pencil of theta mode k (1-based)."""
+        pairs = self._radial_pairs
+        while len(pairs) < k:
+            mu_k = self._theta_modes[0][len(pairs)]
+            pairs.append(_pencil_eigh(self.stiffness_r + mu_k * self.weight_r, self.mass_r))
+        return pairs[k - 1]
+
+    def _smallest(self, count: int):
+        """(eigenvalue, theta mode, radial column) of the count smallest
+        eigenpairs, ascending, ties in mode order.
+
+        K_r + mu_k M_r[w22] rises with k, so every radial eigenvalue rises
+        with the mode: once a mode's smallest eigenvalue is not below the
+        count-th smallest found so far, no later mode contributes.
+        """
+        picked = []
+        for k in range(1, self.n_theta + 1):
+            lams = self._mode(k)[0]
+            if len(picked) == count and lams[0] >= picked[-1][0]:
+                break
+            # sorted() is stable, so earlier modes win ties
+            picked = sorted(picked + [(lam, k, c) for c, lam in enumerate(lams[:count])],
+                            key=lambda pair: pair[0])[:count]
+        return picked
+
+    def eigenpairs(self, count: int):
+        """count smallest eigenpairs of the 2D pencil, ascending, M-normalized."""
+        picked = self._smallest(count)
+        sines = self._theta_modes[1]
+        vecs = np.empty((len(self.mass_r) * self.n_theta, len(picked)))
+        for out, (_, k, c) in enumerate(picked):
+            vecs[:, out] = np.kron(self._mode(k)[1][:, c], sines[:, k - 1])
+        return np.array([lam for lam, _, _ in picked]), vecs
+
+    def guard_block(self, m: int) -> int:
+        """Block size covering the cluster of the m-th eigenvalue: the
+        smallest b >= m at which the spectrum has a relative gap above
+        _CLUSTER_GAP, at most 2m and the number of unknowns."""
+        size = len(self.mass_r) * self.n_theta
+        limit = min(2 * m, size)
+        lams = [lam for lam, _, _ in self._smallest(min(limit + 1, size))]
+        for b in range(m, limit):
+            if lams[b] > (1.0 + _CLUSTER_GAP) * lams[b - 1]:
+                return b
+        return limit
+
+    @cached_property
+    def _ldl(self):
+        """Unit lower factor and pivots of the tridiagonal K_r + mu_k M_r[w22]
+        for every theta mode at once, each shaped (n_r, 1, n_theta)."""
+        mu = self._theta_modes[0]
+        diag = np.diagonal(self.stiffness_r)[:, None] + np.diagonal(self.weight_r)[:, None] * mu
+        off = (np.diagonal(self.stiffness_r, 1)[:, None]
+               + np.diagonal(self.weight_r, 1)[:, None] * mu)
+        lower = np.zeros_like(diag)
+        pivot = diag.copy()
+        for i in range(1, len(diag)):
+            lower[i] = off[i - 1] / pivot[i - 1]
+            pivot[i] -= lower[i] * off[i - 1]
+        return lower[:, None, :], pivot[:, None, :]
+
+    def solve(self, rows: np.ndarray) -> np.ndarray:
+        """K^{-1} applied to every row of a (k, n) block: a sine transform in
+        theta, one tridiagonal solve per theta mode, the inverse transform."""
+        sines = self._theta_modes[1]
+        n_r, n_t = len(self.mass_r), self.n_theta
+        lower, pivot = self._ldl
+        # (n_r, k, n_theta): a radial slice is contiguous
+        z = np.ascontiguousarray(
+            (rows.reshape(-1, n_t) @ sines).reshape(len(rows), n_r, n_t).transpose(1, 0, 2))
+        for i in range(1, n_r):
+            z[i] -= lower[i] * z[i - 1]
+        z /= pivot
+        for i in range(n_r - 2, -1, -1):
+            z[i] -= lower[i + 1] * z[i + 1]
+        return (z.transpose(1, 0, 2).reshape(-1, n_t) @ sines.T).reshape(len(rows), -1)
 
 
 @dataclass
 class DiscreteEigenproblem:
     """Assembled stiffness/mass pair with Dirichlet rows eliminated."""
 
-    stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
+    stiffness: StencilMatrix
+    mass: StencilMatrix
     keep: np.ndarray            # retained node ids in the full grid numbering
     grid_r: np.ndarray
     grid_theta: np.ndarray
     shape: tuple = field(default=(0, 0))
     # None unless the fields depend on r only
     _separable: _SeparableFactors = field(default=None, repr=False)
+    # the factors of the same grid under the round (t = 0) metric
+    _round: _SeparableFactors = field(default=None, repr=False)
 
     @property
     def num_dof(self) -> int:
@@ -148,6 +347,40 @@ def _line_matrix(coef, basis, scale):
     return out
 
 
+def _radial_factors(fields, n_r, hx, hy, n_theta) -> _SeparableFactors:
+    """The 1D factors of r-only fields sampled on axes (cell_r, -, point_r, -)."""
+    w11_r, _, w22_r, m_r = (f[:, 0, :, 0] for f in fields)
+    phi_r = np.stack([1.0 - _GAUSS3_NODES, _GAUSS3_NODES])
+    dphi_r = np.array([[-1.0], [1.0]]) * np.ones(3)
+    return _SeparableFactors(
+        stiffness_r=_line_matrix(w11_r, dphi_r, 1.0 / hx)[:n_r, :n_r],
+        weight_r=_line_matrix(w22_r, phi_r, hx)[:n_r, :n_r],
+        mass_r=_line_matrix(m_r, phi_r, hx)[:n_r, :n_r],
+        h_theta=hy, n_theta=n_theta,
+    )
+
+
+def _stencil(loc, n, n_r) -> StencilMatrix:
+    """Sum the (cells, 4, 4) element blocks of an n x n node grid into a
+    9-point stencil and restrict it to the retained rows 0 .. n_r - 1 and
+    columns 1 .. n - 2. Local node a of cell (ci, cj) is grid node
+    (ci + a % 2, cj + a // 2)."""
+    nc = n - 1
+    loc = loc.reshape(nc, nc, 4, 4)
+    full = np.zeros((3, 3, n, n))
+    for a in range(4):
+        ra, ta = a % 2, a // 2
+        for b in range(4):
+            full[1 + b % 2 - ra, 1 + b // 2 - ta, ra:ra + nc, ta:ta + nc] += loc[:, :, a, b]
+    coef = full[:, :, :n_r, 1:n - 1].copy()
+    # couplings to the Dirichlet nodes
+    coef[:, 0, :, 0] = 0.0
+    coef[:, 2, :, -1] = 0.0
+    if n_r < n:
+        coef[2, :, -1, :] = 0.0
+    return StencilMatrix(coef)
+
+
 def assemble(params: DeformationParams, config: SolverConfig, *,
              beta: float = math.pi / 2, domain: str = "triangle") -> DiscreteEigenproblem:
     """Assemble the generalized eigenproblem K v = lambda M v.
@@ -163,6 +396,7 @@ def assemble(params: DeformationParams, config: SolverConfig, *,
         raise ValueError("deformed metrics are defined on the beta = pi/2 triangle only")
     r_max = math.pi / 2 if domain == "triangle" else math.pi
     n = config.grid_n
+    n_r = n - 1 if domain == "triangle" else n
     hx = r_max / (n - 1)
     hy = beta / (n - 1)
     wq, phi, dphx, dphy = _reference_basis()
@@ -176,22 +410,17 @@ def assemble(params: DeformationParams, config: SolverConfig, *,
     rq = (cells[:, None, None, None] + _GAUSS3_NODES[:, None]) * hx
     tq = (cells[:, None, None] + _GAUSS3_NODES) * hy
     fields = metric_coefficients(params, rq, tq)
-    separable = None
-    if params.t == 0 or params.b == 0:
-        # z = 0, so l = L = 0 exactly and every field is a function of r
-        w11_r, _, w22_r, m_r = (f[:, 0, :, 0] for f in fields)
-        n_r = n - 1 if domain == "triangle" else n
-        phi_r = np.stack([1.0 - _GAUSS3_NODES, _GAUSS3_NODES])
-        dphi_r = np.array([[-1.0], [1.0]]) * np.ones(3)
-        separable = _SeparableFactors(
-            stiffness_r=_line_matrix(w11_r, dphi_r, 1.0 / hx)[:n_r, :n_r],
-            weight_r=_line_matrix(w22_r, phi_r, hx)[:n_r, :n_r],
-            mass_r=_line_matrix(m_r, phi_r, hx)[:n_r, :n_r],
-            h_theta=hy, n_theta=n - 2,
-        )
+    # at t = 0, or with b = 0, z = 0, so l = L = 0 exactly and every field is
+    # a function of r
+    if params.t == 0:
+        separable = round_factors = _radial_factors(fields, n_r, hx, hy, n - 2)
+    else:
+        round_fields = metric_coefficients(DeformationParams(params.a, params.b, 0.0),
+                                           rq, tq[:1, :, :1])
+        round_factors = _radial_factors(round_fields, n_r, hx, hy, n - 2)
+        separable = _radial_factors(fields, n_r, hx, hy, n - 2) if params.b == 0 else None
     w11, w12, w22, m = (f.reshape(nc * nc, 9) for f in fields)
 
-    ci, cj = np.divmod(np.arange(nc * nc), nc)
     scale = wq[None, :] * (hx * hy)
     kloc, mloc = _local_matrices(
         w11 * scale / hx**2,
@@ -200,80 +429,90 @@ def assemble(params: DeformationParams, config: SolverConfig, *,
         m * scale,
         phi, dphx, dphy,
     )
-
-    conn = np.stack([
-        ci * n + cj,
-        (ci + 1) * n + cj,
-        ci * n + (cj + 1),
-        (ci + 1) * n + (cj + 1),
-    ], axis=1)
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    drop = (jj == 0) | (jj == n - 1)
-    if domain == "triangle":
-        drop |= ii == n - 1
-    keep = np.flatnonzero(~drop.ravel())
-    # reduced id of every grid node, -1 on Dirichlet nodes; their rows and
-    # columns are dropped before the duplicates are summed
-    reduced = np.full(n * n, -1)
-    reduced[keep] = np.arange(len(keep))
-    rows = reduced[np.repeat(conn, 4, axis=1).ravel()]
-    cols = reduced[np.tile(conn, (1, 4)).ravel()]
-    live = (rows >= 0) & (cols >= 0)
-    rows, cols = rows[live], cols[live]
-    size = len(keep)
-    stiffness = sp.coo_matrix((kloc.ravel()[live], (rows, cols)), shape=(size, size)).tocsr()
-    mass = sp.coo_matrix((mloc.ravel()[live], (rows, cols)), shape=(size, size)).tocsr()
+    ii, jj = np.meshgrid(np.arange(n_r), np.arange(1, n - 1), indexing="ij")
+    stiffness, mass = _stencil(kloc, n, n_r), _stencil(mloc, n, n_r)
     if mass.diagonal().min() <= 0:
         raise AssemblyError("mass matrix lost positivity after Dirichlet elimination")
     return DiscreteEigenproblem(
-        stiffness, mass, keep,
+        stiffness, mass, (ii * n + jj).ravel(),
         grid_r=np.linspace(0.0, r_max, n),
         grid_theta=np.linspace(0.0, beta, n),
         shape=(n, n),
         _separable=separable,
+        _round=round_factors,
     )
 
 
 def _worst_residual(problem: DiscreteEigenproblem, vals, vecs) -> float:
-    """Largest ||K v - lambda M v|| / ||M v|| over the pairs; inf if there are none."""
-    worst = math.inf if len(vals) == 0 else 0.0
-    for i in range(len(vals)):
-        v = vecs[:, i]
-        mv = problem.mass @ v
-        res = np.linalg.norm(problem.stiffness @ v - vals[i] * mv) / np.linalg.norm(mv)
-        worst = max(worst, res)
-    return worst
+    """Largest ||K v - lambda M v|| / ||M v|| over the pairs."""
+    mv = problem.mass @ vecs
+    res = np.linalg.norm(problem.stiffness @ vecs - mv * vals, axis=0)
+    return float(np.max(res / np.linalg.norm(mv, axis=0)))
 
 
-def _solve_separable(factors: _SeparableFactors, m: int):
-    """m smallest eigenpairs of a separable problem, ascending, M-normalized.
+def _ritz(gram_a, gram_b, k):
+    """k smallest Ritz pairs of the Gram pencil (gram_a, gram_b); basis
+    directions that the scaled gram_b cannot tell apart are dropped, so a
+    nearly dependent basis cannot break the reduction."""
+    scale = 1.0 / np.sqrt(np.diagonal(gram_b))
+    theta, q = np.linalg.eigh(gram_b * np.outer(scale, scale))
+    keep = theta > 1e-12 * theta[-1]
+    to_orth = scale[:, None] * (q[:, keep] / np.sqrt(theta[keep]))
+    reduced = to_orth.T @ gram_a @ to_orth
+    vals, vecs = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    return vals[:k], to_orth @ vecs[:, :k]
 
-    Theta mode k (k = 1 .. n_theta) has the sine vector s_k(j) =
-    sin(k pi j / (n_theta + 1)) and the eigenvalue mu_k of the theta pencil;
-    it leaves the radial pencil (K_r + mu_k M_r[w22]) x = lambda M_r[m] x,
-    and x (x) s_k is an eigenvector of the 2D pencil. Every radial eigenvalue
-    rises with mu_k, so the m smallest overall lie among the m - k + 1
-    smallest of modes k <= m.
+
+def _lobpcg(problem: DiscreteEigenproblem, start: np.ndarray, precondition, m: int,
+            tol: float):
+    """m smallest eigenpairs by block LOBPCG from the (k, n) start block.
+
+    The m leading pairs must reach ||r|| <= tol ||M v||, with tol clipped to
+    [_LOBPCG_RTOL_MIN, _LOBPCG_RTOL] |lambda|; the rest of the block guards
+    their convergence, and pairs that meet the rule stop taking search
+    directions (soft locking). Raises ConvergenceError with the worst
+    residual of the m leading pairs after _LOBPCG_MAX_ITER iterations.
     """
-    n_r, n_t = len(factors.mass_r), factors.n_theta
-    modes = np.arange(1, min(m, n_t) + 1)
-    phase = modes * math.pi / (n_t + 1)
-    # 1 - cos(phase) written as 2 sin^2(phase / 2), exact in relative terms
-    mu = 12.0 / factors.h_theta**2 * np.sin(0.5 * phase) ** 2 / (2.0 + np.cos(phase))
-    # s_k^T M_theta s_k = (h_theta / 6)(4 + 2 cos(phase)) (n_t + 1) / 2
-    s_norm = np.sqrt(factors.h_theta * (2.0 + np.cos(phase)) * (n_t + 1) / 6.0)
-    radial = [eigh(factors.stiffness_r + mu_k * factors.weight_r, factors.mass_r,
-                   subset_by_index=[0, min(m - k + 1, n_r) - 1])
-              for k, mu_k in zip(modes, mu)]
-    # (eigenvalue, theta mode index, radial column); sorted() is stable
-    picked = sorted(((lam, i, c) for i, (lams, _) in enumerate(radial)
-                     for c, lam in enumerate(lams)), key=lambda pair: pair[0])[:m]
-    j = np.arange(1, n_t + 1)
-    vecs = np.empty((n_r * n_t, len(picked)))
-    for out, (_, i, c) in enumerate(picked):
-        s_k = np.sin(modes[i] * math.pi * j / (n_t + 1)) / s_norm[i]
-        vecs[:, out] = np.kron(radial[i][1][:, c], s_k)
-    return np.array([lam for lam, _, _ in picked]), vecs
+    stiff, mass = problem.stiffness.apply_rows, problem.mass.apply_rows
+    x = start
+    ax, bx = stiff(x), mass(x)
+    vals, coef = _ritz(x @ ax.T, x @ bx.T, len(x))
+    x, ax, bx = coef.T @ x, coef.T @ ax, coef.T @ bx
+    p = None
+    for it in range(_LOBPCG_MAX_ITER + 1):
+        r = ax - vals[:, None] * bx
+        res = np.linalg.norm(r, axis=1) / np.linalg.norm(bx, axis=1)
+        active = res > np.clip(tol, _LOBPCG_RTOL_MIN * np.abs(vals), _LOBPCG_RTOL * np.abs(vals))
+        if not active[:m].any():
+            return vals[:m], x[:m].T
+        if it == _LOBPCG_MAX_ITER:
+            break
+        w = precondition(r[active])
+        w -= (w @ bx.T) @ x      # M-orthogonal to the current Ritz vectors
+        basis = [(x, ax, bx), (w, stiff(w), mass(w))]
+        if p is not None:
+            basis.append(tuple(block[active] for block in p))
+        s, as_, bs = (np.concatenate(blocks) for blocks in zip(*basis))
+        vals, coef = _ritz(s @ as_.T, s @ bs.T, len(x))
+        # the new Ritz vectors, and their part outside the old ones
+        x, ax, bx = (coef.T @ block for block in (s, as_, bs))
+        p = tuple(coef[len(x):].T @ block[len(x):] for block in (s, as_, bs))
+    raise ConvergenceError("eigensolver did not converge",
+                           _worst_residual(problem, vals[:m], x[:m].T))
+
+
+def _solve_deformed(problem: DiscreteEigenproblem, m: int, tol: float):
+    """m smallest eigenpairs of a non-separable problem: LOBPCG over the
+    guard block of the t = 0 cluster of lambda_m, started from the exact
+    t = 0 eigenvectors and preconditioned by the exact inverse of K0; the
+    dense pencil when that block does not fit three times into the problem."""
+    reference = problem._round
+    block = reference.guard_block(m) if 3 * m <= problem.num_dof else m
+    if 3 * block > problem.num_dof:
+        vals, vecs = _pencil_eigh(problem.stiffness.toarray(), problem.mass.toarray())
+        return vals[:m], vecs[:, :m]
+    start = np.ascontiguousarray(reference.eigenpairs(block)[1].T)
+    return _lobpcg(problem, start, reference.solve, m, tol)
 
 
 def solve_smallest(problem: DiscreteEigenproblem, m: int, *,
@@ -282,37 +521,28 @@ def solve_smallest(problem: DiscreteEigenproblem, m: int, *,
 
     method "sparse" solves a separable problem (fields depending on r only,
     see the module docstring) exactly, one small radial pencil per theta
-    mode; otherwise it runs shift-invert Lanczos about sigma = 0 on one LU
-    of K with a minimum-degree ordering of K + K^T. "dense" is the LAPACK
-    reference path (an oracle for moderate grids).
-    Residuals ||K v - lambda M v|| / ||M v|| on the 2D K and M are checked
-    against tol for every method; when ARPACK stops early, the
-    ConvergenceError carries the worst residual of the pairs it returned.
+    mode; otherwise it runs block LOBPCG preconditioned by the exact inverse
+    of the t = 0 stiffness on the same grid, started from the t = 0
+    eigenvectors, or solves the dense pencil when the problem is too small
+    for the block. "dense" is the LAPACK reference path (an oracle for
+    moderate grids). Residuals ||K v - lambda M v|| / ||M v|| on the 2D K
+    and M are checked against tol for every method; when LOBPCG reaches its
+    iteration cap, the ConvergenceError carries the worst residual it
+    reached.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > problem.num_dof:
         raise ValueError("requested more modes than retained degrees of freedom")
     if method == "dense":
+        from scipy.linalg import eigh
+
         vals, vecs = eigh(problem.stiffness.toarray(), problem.mass.toarray(),
                           subset_by_index=[0, m - 1])
     elif method == "sparse" and problem._separable is not None:
-        vals, vecs = _solve_separable(problem._separable, m)
+        vals, vecs = problem._separable.eigenpairs(m)
     elif method == "sparse":
-        # K is symmetric, so a symmetric fill-reducing ordering beats COLAMD
-        lu = spla.splu(problem.stiffness.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        k_inv = spla.LinearOperator(problem.stiffness.shape, matvec=lu.solve, dtype=float)
-        # deterministic start vector: repeated invocations must agree bitwise
-        v0 = np.random.default_rng(2718281).standard_normal(problem.num_dof)
-        try:
-            vals, vecs = spla.eigsh(problem.stiffness, k=m, M=problem.mass,
-                                    sigma=0.0, which="LM", v0=v0, OPinv=k_inv,
-                                    tol=_ARPACK_TOL)
-        except spla.ArpackNoConvergence as exc:
-            reached = _worst_residual(problem, exc.eigenvalues, exc.eigenvectors)
-            raise ConvergenceError("eigensolver did not converge", reached) from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        vals, vecs = _solve_deformed(problem, m, tol)
     else:
         raise ValueError(f"unknown method {method!r}")
     worst = _worst_residual(problem, vals, vecs)
@@ -363,7 +593,8 @@ def gap_slope(direction, t_values, config: SolverConfig) -> GapSlopeResult:
     is discretely split (multiplicity 2 in the continuum); the baseline uses
     the Rayleigh-weighted combination of the split pair selected by the
     second eigenvector at the smallest t, which removes the O(split/t) bias
-    the plain minimum baseline would leave behind.
+    the plain minimum baseline would leave behind. The t = 0 problem's
+    eigenpairs and preconditioner serve every t.
     """
     ts = [float(t) for t in t_values]
     if not (ts and all(t > 0 for t in ts) and all(t1 > t2 for t1, t2 in zip(ts, ts[1:]))):
@@ -376,6 +607,8 @@ def gap_slope(direction, t_values, config: SolverConfig) -> GapSlopeResult:
     solved = []
     for t in ts:
         problem = assemble(DeformationParams(a, b, t), config)
+        # the same grid: share the t = 0 inverse and eigenpairs across t
+        problem._round = problem0._round
         vals, vecs = solve_smallest(problem, _GAP_MODES)
         solved.append((t, vals, vecs))
 
@@ -384,8 +617,7 @@ def gap_slope(direction, t_values, config: SolverConfig) -> GapSlopeResult:
     v2 = vecs_min[:, 1]
     cluster = [i for i in range(1, _GAP_MODES)
                if vals0[i] - vals0[1] < 1e-3 * max(1.0, vals0[1])]
-    weights = np.array([abs(v2 @ (problem0.mass @ vecs0[:, i])) ** 2
-                        for i in cluster])
+    weights = np.abs(v2 @ (problem0.mass @ vecs0[:, cluster])) ** 2
     if weights.sum() > 0:
         lam2_base = float(np.sum(weights * vals0[cluster]) / weights.sum())
     gap0 = float(lam2_base - vals0[0])

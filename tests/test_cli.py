@@ -224,6 +224,17 @@ def test_solve_modes_must_be_positive(capsys):
         assert "--modes must be >= 1" in err
 
 
+def test_solve_every_mode_of_a_deformed_problem(capsys):
+    # 7 x 6 retained nodes at n = 8, so --modes 42 asks for all of them
+    code, out = _run(capsys, "solve", "--a", "0.6", "--b", "0.8", "--t", "0.01",
+                     "--grid-n", "8", "--modes", "42")
+    assert code == 0
+    _, _, rows = _parse_csv(out)
+    assert [int(row[0]) for row in rows] == list(range(1, 43))
+    vals = [float(row[1]) for row in rows]
+    assert vals == sorted(vals) and vals[0] > 0
+
+
 def test_gap_slope_bad_t_list(capsys):
     code, _ = _run(capsys, "gap-slope", "--a", "0", "--b", "1",
                    "--t-list", "0.02,zap", "--grid-n", "24")

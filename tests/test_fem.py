@@ -38,8 +38,8 @@ def test_matrices_exactly_symmetric():
     params = DeformationParams(0.28, math.sqrt(1 - 0.28**2), 0.03)
     problem = assemble(params, SolverConfig(grid_n=16))
     for mat in (problem.stiffness, problem.mass):
-        diff = (mat - mat.T).tocoo()
-        assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
+        dense = mat.toarray()
+        assert np.array_equal(dense, dense.T)
 
 
 def _loop_assemble(params, n, r_max=PI / 2, beta=PI / 2, dirichlet_rmax=True):
@@ -229,7 +229,7 @@ def test_assemble_validation():
             solve_smallest(problem, 0, method=method)
 
 
-# an off-axis deformation at t > 0 is not separable, so "sparse" runs Lanczos
+# an off-axis deformation at t > 0 is not separable, so "sparse" runs LOBPCG
 _OFF_AXIS = DeformationParams(0.6, 0.8, 0.01)
 
 
@@ -241,28 +241,34 @@ def test_residual_tolerance_enforced(method):
         solve_smallest(problem, 2, method=method, tol=1e-300)
 
 
-@pytest.mark.parametrize("partial", [1, 0])
-def test_arpack_failure_reports_reached_residual(monkeypatch, partial):
+def _ritz_residual(problem, start, m):
+    """Worst residual of the m leading Rayleigh-Ritz pairs of the columns of start."""
+    from scipy.linalg import eigh
+
+    ritz_vals, coeffs = eigh(start.T @ (problem.stiffness @ start),
+                             start.T @ (problem.mass @ start))
+    vecs = start @ coeffs[:, :m]
+    mv = problem.mass @ vecs
+    return np.max(np.linalg.norm(problem.stiffness @ vecs - mv * ritz_vals[:m], axis=0)
+                  / np.linalg.norm(mv, axis=0))
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_iteration_cap_reports_reached_residual(monkeypatch, cap):
     problem = assemble(_OFF_AXIS, SolverConfig(grid_n=24))
-    vals, vecs = solve_smallest(problem, 2, method="dense")
-    # one returned pair, its eigenvalue off by 1 %: a known finite residual
-    got_vals, got_vecs = 1.01 * vals[:partial], vecs[:, :partial]
-
-    def no_convergence(*args, **kwargs):
-        raise fem.spla.ArpackNoConvergence("ARPACK error -1: No convergence",
-                                           got_vals, got_vecs)
-
-    monkeypatch.setattr(fem.spla, "eigsh", no_convergence)
-    with pytest.raises(ConvergenceError) as info:
-        solve_smallest(problem, 2, method="sparse")
-    if partial:
-        mv = problem.mass @ got_vecs[:, 0]
-        expected = (np.linalg.norm(problem.stiffness @ got_vecs[:, 0] - got_vals[0] * mv)
-                    / np.linalg.norm(mv))
-        assert 0 < info.value.residual < math.inf
-        assert info.value.residual == pytest.approx(expected, rel=1e-12)
+    # lambda_2 lies in the split pair at 30, so the block is lambda_1 .. lambda_3
+    assert problem._round.guard_block(2) == 3
+    start_vecs = solve_smallest(assemble(DeformationParams(0.6, 0.8, 0.0), SolverConfig(grid_n=24)),
+                                3, method="dense")[1]
+    start_residual = _ritz_residual(problem, start_vecs, 2)
+    monkeypatch.setattr(fem, "_LOBPCG_MAX_ITER", cap)
+    with pytest.raises(ConvergenceError, match="did not converge") as info:
+        solve_smallest(problem, 2)
+    if cap == 0:
+        # no iteration: the Rayleigh-Ritz pairs of the exact t = 0 eigenvectors
+        assert info.value.residual == pytest.approx(start_residual, rel=1e-6)
     else:
-        assert info.value.residual == math.inf
+        assert 0 < info.value.residual < 0.5 * start_residual
 
 
 @pytest.mark.parametrize("method", ["dense", "sparse"])
@@ -280,6 +286,23 @@ def test_solve_smallest_bitwise_across_processes(method):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.split() == [float(x).hex() for x in vals]
+
+
+def test_lobpcg_bitwise_across_processes():
+    problem = assemble(DeformationParams(0.6, 0.8, 0.05), SolverConfig(grid_n=24))
+    vals, vecs = solve_smallest(problem, 4)
+    code = (
+        "import hashlib\n"
+        "import spheregap.fem as fem\n"
+        "from spheregap.geometry import DeformationParams\n"
+        "p = fem.assemble(DeformationParams(0.6, 0.8, 0.05), fem.SolverConfig(grid_n=24))\n"
+        "v, x = fem.solve_smallest(p, 4)\n"
+        "print(*(float(y).hex() for y in v), hashlib.sha256(x.tobytes()).hexdigest())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ([float(x).hex() for x in vals]
+                                  + [hashlib.sha256(vecs.tobytes()).hexdigest()])
 
 
 def test_neville_extrapolation_linear_exact():
@@ -321,10 +344,10 @@ def test_assembly_matches_pointwise_sampling(n, direction):
     params = DeformationParams(*direction, 0.03)
     problem = assemble(params, SolverConfig(grid_n=n))
     for got, ref in zip((problem.stiffness, problem.mass), _pointwise_assemble(params, n)):
-        ref.sort_indices()
-        assert np.array_equal(got.indptr, ref.indptr)
-        assert np.array_equal(got.indices, ref.indices)
-        assert np.max(np.abs(got.data - ref.data) / np.abs(ref.data)) <= 1e-15
+        got, ref = got.toarray(), ref.toarray()
+        pattern = ref != 0
+        assert np.array_equal(got != 0, pattern)
+        assert np.max(np.abs(got[pattern] - ref[pattern]) / np.abs(ref[pattern])) <= 1e-15
 
 
 _SEPARABLE_CASES = {
@@ -369,15 +392,15 @@ def test_separable_solve_matches_dense(case, modes):
     assert np.max(np.abs(gram - np.eye(m))) < 1e-10
 
 
-def test_separable_path_skips_the_2d_factorization(monkeypatch):
-    def no_lu(*args, **kwargs):
-        raise AssertionError("2D LU factorization on a separable problem")
+def test_separable_path_never_iterates(monkeypatch):
+    def no_lobpcg(*args, **kwargs):
+        raise AssertionError("LOBPCG on a separable problem")
 
-    monkeypatch.setattr(fem.spla, "splu", no_lu)
+    monkeypatch.setattr(fem, "_lobpcg", no_lobpcg)
     for case in _SEPARABLE_CASES:
         vals, _ = solve_smallest(_separable_problem(case, n=24), 4)
         assert np.all(np.diff(vals) >= 0)
-    with pytest.raises(AssertionError, match="2D LU"):
+    with pytest.raises(AssertionError, match="LOBPCG"):
         solve_smallest(assemble(_OFF_AXIS, SolverConfig(grid_n=24)), 4)
 
 
@@ -403,3 +426,70 @@ def test_separable_solve_bitwise_across_processes():
                          text=True, check=True)
     assert out.stdout.split() == ([float(x).hex() for x in vals]
                                   + [hashlib.sha256(vecs.tobytes()).hexdigest()])
+
+
+_DEFORMED_CASES = [
+    ((0.6, 0.8), 0.01), ((0.6, 0.8), 0.05), ((0.6, 0.8), 0.3), ((0.6, 0.8), 1.0),
+    ((0.0, 1.0), 0.02), ((math.cos(0.7), math.sin(0.7)), 0.05),
+]
+
+
+def _reference_eigenvalues(problem, m):
+    """m smallest eigenvalues from LAPACK on the dense pencil (M, K): its
+    Cholesky factor is K's, and the largest eigenvalues 1/lambda stay
+    accurate where M's small pole rows cost eigh(K, M) up to 1e-10 at n = 24."""
+    from scipy.linalg import eigh
+
+    size = problem.num_dof
+    return 1.0 / eigh(problem.mass.toarray(), problem.stiffness.toarray(), eigvals_only=True,
+                      subset_by_index=[size - m, size - 1])[::-1]
+
+
+@pytest.mark.parametrize("m", [1, 4, 6])
+@pytest.mark.parametrize("n", [12, 24])
+@pytest.mark.parametrize("direction, t", _DEFORMED_CASES)
+def test_lobpcg_matches_dense_pencil(direction, t, n, m):
+    problem = assemble(DeformationParams(*direction, t), SolverConfig(grid_n=n))
+    assert problem._separable is None
+    vals, vecs = solve_smallest(problem, m)
+    ref_vals = _reference_eigenvalues(problem, m)
+    assert vals.shape == (m,) and vecs.shape == (problem.num_dof, m)
+    assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-10
+    gram = vecs.T @ (problem.mass @ vecs)
+    assert np.max(np.abs(gram - np.eye(m))) < 1e-10
+    assert fem._worst_residual(problem, vals, vecs) <= 1e-6
+
+
+@pytest.mark.parametrize("case", ["triangle-half", "lune-half", "triangle-quarter",
+                                  "axis-deformed"])
+def test_separable_inverse_is_exact(case):
+    problem = _separable_problem(case, n=24)
+    rhs = np.random.default_rng(7).standard_normal((3, problem.num_dof))
+    back = problem.stiffness @ problem._separable.solve(rhs).T
+    assert np.max(np.linalg.norm(back - rhs.T, axis=0) / np.linalg.norm(rhs.T, axis=0)) <= 1e-12
+
+
+def test_all_modes_of_a_deformed_problem():
+    # 3 * block > num_dof, so the deformed problem takes the dense pencil
+    problem = assemble(_OFF_AXIS, SolverConfig(grid_n=8))
+    m = problem.num_dof
+    vals, vecs = solve_smallest(problem, m)
+    ref_vals, _ = solve_smallest(problem, m, method="dense")
+    assert vals.shape == (m,) and vecs.shape == (m, m)
+    assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-10
+    assert np.max(np.abs(vecs.T @ (problem.mass @ vecs) - np.eye(m))) < 1e-10
+
+
+@pytest.mark.parametrize("direction, t", [((0.6, 0.8), 1.9), ((0.0, 1.0), 1.5)])
+def test_extreme_deformation_is_right_or_raises(direction, t):
+    # near the largest t the deformed metric is far from the round one, and
+    # the t = 0 preconditioner may not bring LOBPCG to the rule in time; it
+    # must then raise, never return unconverged pairs
+    problem = assemble(DeformationParams(*direction, t), SolverConfig(grid_n=16))
+    ref_vals = _reference_eigenvalues(problem, 4)
+    try:
+        vals, _ = solve_smallest(problem, 4)
+    except ConvergenceError as exc:
+        assert exc.residual > 1e-6
+    else:
+        assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-8

@@ -1,5 +1,6 @@
-"""What `import spheregap` loads: numpy only, with scipy deferred to the
-finite-element module and the Legendre ODE branch."""
+"""What `import spheregap` loads: numpy only. The finite-element module and
+the FEM commands need no scipy either; only the Legendre ODE branch and the
+dense test oracle `solve_smallest(method="dense")` import it."""
 import subprocess
 import sys
 
@@ -64,3 +65,20 @@ def test_ode_branch_loads_scipy_integrate_on_call():
     )
     expected = legendre_p(3.7, -1.5, -0.5).hex()
     assert _run(code).splitlines() == ["False", f"True {expected}"]
+
+
+def test_fem_loads_no_scipy():
+    code = (
+        "import contextlib, io, sys\n"
+        "import spheregap.fem\n"
+        f"print({_SCIPY_LOADED})\n"
+        "from spheregap import cli\n"
+        "commands = [\n"
+        "    ['solve', '--a', '0.6', '--b', '0.8', '--t', '0.05', '--grid-n', '16'],\n"
+        "    ['gap-slope', '--a', '0', '--b', '1', '--grid-n', '12'],\n"
+        "]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in commands]\n"
+        f"print(codes, {_SCIPY_LOADED})\n"
+    )
+    assert _run(code).splitlines() == ["False", "[0, 0] False"]
