@@ -5,8 +5,9 @@ independent finite-element cross-check on the deformed domains.
 
 Importing the package loads numpy only. The finite-element module `fem`
 and its re-exported names are imported on first access; they need numpy
-only as well. scipy loads only for the Legendre ODE branch and for the
-dense test oracle `fem.solve_smallest(method="dense")`.
+only as well. scipy loads only for the Legendre ODE branch, for the
+shift-invert solve that FEM problems near the largest deformation fall back
+to, and for the dense test oracle `fem.solve_smallest(method="dense")`.
 """
 import importlib as _importlib
 import os as _os

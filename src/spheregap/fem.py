@@ -22,17 +22,20 @@ is a t > 0 deformation of the round (t = 0) problem on the same grid, whose
 stiffness K0 is spectrally equivalent to K(t) uniformly in h. Block LOBPCG
 (Knyazev 2001) solves it, started from the exact t = 0 eigenvectors and
 preconditioned by the exact inverse of K0: a sine transform in theta, one
-tridiagonal radial solve per theta mode, and the inverse transform. Every
-answer passes the same residual check on the 2D K and M.
+tridiagonal radial solve per theta mode, and the inverse transform. Near
+the largest t of a direction K0 preconditions K(t) poorly; when LOBPCG
+reaches its iteration cap, ARPACK in shift-invert mode with a sparse LU of
+K(t) takes over. Every answer passes the same residual check on the 2D K
+and M.
 
 Independent of the closed-form spectra, this provides numeric eigenvalues
 lambda_i(t), gaps, and finite-difference gap slopes for the deformation
-family. The module needs numpy only; method="dense", the LAPACK oracle of
-the tests, imports scipy.linalg when it is called.
+family. The module imports numpy only. scipy loads only on that
+shift-invert path and for method="dense", the LAPACK oracle of the tests.
 """
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,9 +56,12 @@ _GAP_MODES = 4
 # step feeds the drift back until the residual grows again.
 _LOBPCG_RTOL = 1e-9
 _LOBPCG_RTOL_MIN = 1e-10
-# iterations before ConvergenceError; t = 1 at n = 64 took 31, t = 1.257
-# along (0, 1) (0.8 of the largest t) took 118 at n = 64 and 153 at n = 128
-_LOBPCG_MAX_ITER = 200
+# iterations before the shift-invert path takes over. t = 0.05 takes 12 at
+# n = 256 and t = 1 takes 31 at n = 64; 0.8 of the largest t along (0, 1)
+# takes 118 at n = 64, where shift-invert costs about 15 iterations
+_LOBPCG_MAX_ITER = 50
+# ARPACK's stopping tolerance on the shift-invert path
+_ARPACK_TOL = 1e-12
 # consecutive t = 0 eigenvalues closer than this (relative) share a cluster
 _CLUSTER_GAP = 0.1
 
@@ -131,6 +137,16 @@ class StencilMatrix:
         x = np.asarray(x, dtype=float)
         rows = np.ascontiguousarray(x.reshape(self.shape[0], -1).T)
         return self.apply_rows(rows).T.reshape(x.shape)
+
+    def tocsc(self):
+        """The matrix in scipy.sparse CSC form, without stored zeros."""
+        import scipy.sparse as sp
+
+        diagonals = [self.diagonal()] + [c[rows] for _, c, rows in self._shifts]
+        offsets = [0] + [shift for shift, _, _ in self._shifts]
+        out = sp.diags(diagonals, offsets, shape=self.shape, format="csc")
+        out.eliminate_zeros()
+        return out
 
     def toarray(self) -> np.ndarray:
         out = np.diag(self.coef[1, 1].ravel())
@@ -283,8 +299,6 @@ class DiscreteEigenproblem:
     shape: tuple = field(default=(0, 0))
     # None unless the fields depend on r only
     _separable: _SeparableFactors = field(default=None, repr=False)
-    # the factors of the same grid under the round (t = 0) metric
-    _round: _SeparableFactors = field(default=None, repr=False)
 
     @property
     def num_dof(self) -> int:
@@ -412,13 +426,9 @@ def assemble(params: DeformationParams, config: SolverConfig, *,
     fields = metric_coefficients(params, rq, tq)
     # at t = 0, or with b = 0, z = 0, so l = L = 0 exactly and every field is
     # a function of r
-    if params.t == 0:
-        separable = round_factors = _radial_factors(fields, n_r, hx, hy, n - 2)
-    else:
-        round_fields = metric_coefficients(DeformationParams(params.a, params.b, 0.0),
-                                           rq, tq[:1, :, :1])
-        round_factors = _radial_factors(round_fields, n_r, hx, hy, n - 2)
-        separable = _radial_factors(fields, n_r, hx, hy, n - 2) if params.b == 0 else None
+    separable = None
+    if params.t == 0 or params.b == 0:
+        separable = _radial_factors(fields, n_r, hx, hy, n - 2)
     w11, w12, w22, m = (f.reshape(nc * nc, 9) for f in fields)
 
     scale = wq[None, :] * (hx * hy)
@@ -439,12 +449,25 @@ def assemble(params: DeformationParams, config: SolverConfig, *,
         grid_theta=np.linspace(0.0, beta, n),
         shape=(n, n),
         _separable=separable,
-        _round=round_factors,
     )
 
 
+@lru_cache(maxsize=4)
+def _round_factors(n: int) -> _SeparableFactors:
+    """The factors of the beta = pi/2 triangle on an n x n grid under the
+    round (t = 0) metric, which every deformation on that grid shares."""
+    h = (math.pi / 2) / (n - 1)
+    rq = (np.arange(n - 1)[:, None, None, None] + _GAUSS3_NODES[:, None]) * h
+    # the round fields do not depend on theta: one sample serves every cell
+    fields = metric_coefficients(DeformationParams(1.0, 0.0, 0.0), rq,
+                                 np.full((1, 1, 1), _GAUSS3_NODES[0] * h))
+    return _radial_factors(fields, n - 1, h, h, n - 2)
+
+
 def _worst_residual(problem: DiscreteEigenproblem, vals, vecs) -> float:
-    """Largest ||K v - lambda M v|| / ||M v|| over the pairs."""
+    """Largest ||K v - lambda M v|| / ||M v|| over the pairs; inf if there are none."""
+    if len(vals) == 0:
+        return math.inf
     mv = problem.mass @ vecs
     res = np.linalg.norm(problem.stiffness @ vecs - mv * vals, axis=0)
     return float(np.max(res / np.linalg.norm(mv, axis=0)))
@@ -470,8 +493,8 @@ def _lobpcg(problem: DiscreteEigenproblem, start: np.ndarray, precondition, m: i
     The m leading pairs must reach ||r|| <= tol ||M v||, with tol clipped to
     [_LOBPCG_RTOL_MIN, _LOBPCG_RTOL] |lambda|; the rest of the block guards
     their convergence, and pairs that meet the rule stop taking search
-    directions (soft locking). Raises ConvergenceError with the worst
-    residual of the m leading pairs after _LOBPCG_MAX_ITER iterations.
+    directions (soft locking). Returns None when they have not met it after
+    _LOBPCG_MAX_ITER iterations.
     """
     stiff, mass = problem.stiffness.apply_rows, problem.mass.apply_rows
     x = start
@@ -486,7 +509,7 @@ def _lobpcg(problem: DiscreteEigenproblem, start: np.ndarray, precondition, m: i
         if not active[:m].any():
             return vals[:m], x[:m].T
         if it == _LOBPCG_MAX_ITER:
-            break
+            return None
         w = precondition(r[active])
         w -= (w @ bx.T) @ x      # M-orthogonal to the current Ritz vectors
         basis = [(x, ax, bx), (w, stiff(w), mass(w))]
@@ -497,22 +520,45 @@ def _lobpcg(problem: DiscreteEigenproblem, start: np.ndarray, precondition, m: i
         # the new Ritz vectors, and their part outside the old ones
         x, ax, bx = (coef.T @ block for block in (s, as_, bs))
         p = tuple(coef[len(x):].T @ block[len(x):] for block in (s, as_, bs))
-    raise ConvergenceError("eigensolver did not converge",
-                           _worst_residual(problem, vals[:m], x[:m].T))
+
+
+def _shift_invert(problem: DiscreteEigenproblem, m: int):
+    """m smallest eigenpairs by ARPACK in shift-invert mode about 0, with one
+    sparse LU of K; m must be below the number of unknowns. Raises
+    ConvergenceError with the worst residual of the pairs ARPACK returned."""
+    import scipy.sparse.linalg as spla
+
+    stiffness = problem.stiffness.tocsc()
+    # K is symmetric, so a symmetric fill-reducing ordering beats COLAMD
+    lu = spla.splu(stiffness, permc_spec="MMD_AT_PLUS_A")
+    k_inv = spla.LinearOperator(stiffness.shape, matvec=lu.solve, dtype=float)
+    # deterministic start vector: repeated invocations must agree bitwise
+    v0 = np.random.default_rng(2718281).standard_normal(problem.num_dof)
+    try:
+        vals, vecs = spla.eigsh(stiffness, k=m, M=problem.mass.tocsc(), sigma=0.0,
+                                which="LM", v0=v0, OPinv=k_inv, tol=_ARPACK_TOL)
+    except spla.ArpackNoConvergence as exc:
+        reached = _worst_residual(problem, exc.eigenvalues, exc.eigenvectors)
+        raise ConvergenceError("eigensolver did not converge", reached) from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def _solve_deformed(problem: DiscreteEigenproblem, m: int, tol: float):
     """m smallest eigenpairs of a non-separable problem: LOBPCG over the
     guard block of the t = 0 cluster of lambda_m, started from the exact
-    t = 0 eigenvectors and preconditioned by the exact inverse of K0; the
-    dense pencil when that block does not fit three times into the problem."""
-    reference = problem._round
+    t = 0 eigenvectors and preconditioned by the exact inverse of K0. The
+    dense pencil when that block does not fit three times into the problem;
+    shift-invert ARPACK when LOBPCG reaches its cap, as it does near the
+    largest t of a direction, where K0 no longer preconditions K(t)."""
+    reference = _round_factors(problem.shape[0])
     block = reference.guard_block(m) if 3 * m <= problem.num_dof else m
     if 3 * block > problem.num_dof:
         vals, vecs = _pencil_eigh(problem.stiffness.toarray(), problem.mass.toarray())
         return vals[:m], vecs[:, :m]
     start = np.ascontiguousarray(reference.eigenpairs(block)[1].T)
-    return _lobpcg(problem, start, reference.solve, m, tol)
+    found = _lobpcg(problem, start, reference.solve, m, tol)
+    return _shift_invert(problem, m) if found is None else found
 
 
 def solve_smallest(problem: DiscreteEigenproblem, m: int, *,
@@ -523,12 +569,13 @@ def solve_smallest(problem: DiscreteEigenproblem, m: int, *,
     see the module docstring) exactly, one small radial pencil per theta
     mode; otherwise it runs block LOBPCG preconditioned by the exact inverse
     of the t = 0 stiffness on the same grid, started from the t = 0
-    eigenvectors, or solves the dense pencil when the problem is too small
-    for the block. "dense" is the LAPACK reference path (an oracle for
-    moderate grids). Residuals ||K v - lambda M v|| / ||M v|| on the 2D K
-    and M are checked against tol for every method; when LOBPCG reaches its
-    iteration cap, the ConvergenceError carries the worst residual it
-    reached.
+    eigenvectors. When LOBPCG reaches its iteration cap, shift-invert ARPACK
+    with a sparse LU of K solves the problem instead, and when the problem
+    is too small for the block, its dense pencil does. "dense" is the LAPACK
+    reference path (an oracle for moderate grids). Residuals
+    ||K v - lambda M v|| / ||M v|| on the 2D K and M are checked against tol
+    for every method; when ARPACK does not converge, the ConvergenceError
+    carries the worst residual of the pairs it returned.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -537,8 +584,12 @@ def solve_smallest(problem: DiscreteEigenproblem, m: int, *,
     if method == "dense":
         from scipy.linalg import eigh
 
-        vals, vecs = eigh(problem.stiffness.toarray(), problem.mass.toarray(),
-                          subset_by_index=[0, m - 1])
+        stiffness, mass = problem.stiffness.toarray(), problem.mass.toarray()
+        _, vecs = eigh(stiffness, mass, subset_by_index=[0, m - 1])
+        # LAPACK's eigenvalues lose up to 2e-9 relative (n = 48) to the small
+        # mass of the pole rows; the Rayleigh quotients of its vectors err
+        # by the square of their error
+        vals = np.sum(vecs * (stiffness @ vecs), axis=0) / np.sum(vecs * (mass @ vecs), axis=0)
     elif method == "sparse" and problem._separable is not None:
         vals, vecs = problem._separable.eigenpairs(m)
     elif method == "sparse":
@@ -593,8 +644,8 @@ def gap_slope(direction, t_values, config: SolverConfig) -> GapSlopeResult:
     is discretely split (multiplicity 2 in the continuum); the baseline uses
     the Rayleigh-weighted combination of the split pair selected by the
     second eigenvector at the smallest t, which removes the O(split/t) bias
-    the plain minimum baseline would leave behind. The t = 0 problem's
-    eigenpairs and preconditioner serve every t.
+    the plain minimum baseline would leave behind. The round factors of the
+    grid (start vectors and preconditioner) serve every t.
     """
     ts = [float(t) for t in t_values]
     if not (ts and all(t > 0 for t in ts) and all(t1 > t2 for t1, t2 in zip(ts, ts[1:]))):
@@ -607,8 +658,6 @@ def gap_slope(direction, t_values, config: SolverConfig) -> GapSlopeResult:
     solved = []
     for t in ts:
         problem = assemble(DeformationParams(a, b, t), config)
-        # the same grid: share the t = 0 inverse and eigenpairs across t
-        problem._round = problem0._round
         vals, vecs = solve_smallest(problem, _GAP_MODES)
         solved.append((t, vals, vecs))
 

@@ -235,6 +235,17 @@ def test_solve_every_mode_of_a_deformed_problem(capsys):
     assert vals == sorted(vals) and vals[0] > 0
 
 
+def test_solve_near_the_largest_t(capsys):
+    # 0.9 of the largest t along (0, 1): the t = 0 preconditioner is too weak
+    # there, and shift-invert gives the answer; lambda_1 as ARPACK printed it
+    # before LOBPCG
+    code, out = _run(capsys, "solve", "--a", "0", "--b", "1", "--t", "1.414",
+                     "--grid-n", "64")
+    assert code == 0
+    _, _, rows = _parse_csv(out)
+    assert float(rows[0][1]) == pytest.approx(465.56385574064251, rel=1e-12)
+
+
 def test_gap_slope_bad_t_list(capsys):
     code, _ = _run(capsys, "gap-slope", "--a", "0", "--b", "1",
                    "--t-list", "0.02,zap", "--grid-n", "24")

@@ -241,34 +241,46 @@ def test_residual_tolerance_enforced(method):
         solve_smallest(problem, 2, method=method, tol=1e-300)
 
 
-def _ritz_residual(problem, start, m):
-    """Worst residual of the m leading Rayleigh-Ritz pairs of the columns of start."""
-    from scipy.linalg import eigh
+@pytest.mark.parametrize("partial", [1, 0])
+def test_arpack_failure_reports_reached_residual(monkeypatch, partial):
+    import scipy.sparse.linalg as spla
 
-    ritz_vals, coeffs = eigh(start.T @ (problem.stiffness @ start),
-                             start.T @ (problem.mass @ start))
-    vecs = start @ coeffs[:, :m]
-    mv = problem.mass @ vecs
-    return np.max(np.linalg.norm(problem.stiffness @ vecs - mv * ritz_vals[:m], axis=0)
-                  / np.linalg.norm(mv, axis=0))
-
-
-@pytest.mark.parametrize("cap", [0, 1])
-def test_iteration_cap_reports_reached_residual(monkeypatch, cap):
     problem = assemble(_OFF_AXIS, SolverConfig(grid_n=24))
-    # lambda_2 lies in the split pair at 30, so the block is lambda_1 .. lambda_3
-    assert problem._round.guard_block(2) == 3
-    start_vecs = solve_smallest(assemble(DeformationParams(0.6, 0.8, 0.0), SolverConfig(grid_n=24)),
-                                3, method="dense")[1]
-    start_residual = _ritz_residual(problem, start_vecs, 2)
-    monkeypatch.setattr(fem, "_LOBPCG_MAX_ITER", cap)
+    vals, vecs = solve_smallest(problem, 2, method="dense")
+    # one returned pair, its eigenvalue off by 1 %: a known finite residual
+    got_vals, got_vecs = 1.01 * vals[:partial], vecs[:, :partial]
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", got_vals, got_vecs)
+
+    # LOBPCG stops at once, so the shift-invert path runs
+    monkeypatch.setattr(fem, "_LOBPCG_MAX_ITER", 0)
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
     with pytest.raises(ConvergenceError, match="did not converge") as info:
-        solve_smallest(problem, 2)
-    if cap == 0:
-        # no iteration: the Rayleigh-Ritz pairs of the exact t = 0 eigenvectors
-        assert info.value.residual == pytest.approx(start_residual, rel=1e-6)
+        solve_smallest(problem, 2, method="sparse")
+    if partial:
+        mv = problem.mass @ got_vecs[:, 0]
+        expected = (np.linalg.norm(problem.stiffness @ got_vecs[:, 0] - got_vals[0] * mv)
+                    / np.linalg.norm(mv))
+        assert 0 < info.value.residual < math.inf
+        assert info.value.residual == pytest.approx(expected, rel=1e-12)
     else:
-        assert 0 < info.value.residual < 0.5 * start_residual
+        assert info.value.residual == math.inf
+
+
+@pytest.mark.parametrize("cap", [0, 1, 50])
+def test_iteration_cap_hands_over_to_shift_invert(monkeypatch, cap):
+    problem = assemble(DeformationParams(0.6, 0.8, 0.3), SolverConfig(grid_n=24))
+    ref_vals, _ = solve_smallest(problem, 4, method="dense")
+    calls = []
+    shift_invert = fem._shift_invert
+    monkeypatch.setattr(fem, "_LOBPCG_MAX_ITER", cap)
+    monkeypatch.setattr(fem, "_shift_invert", lambda *args: calls.append(1) or shift_invert(*args))
+    vals, vecs = solve_smallest(problem, 4)
+    # t = 0.3 takes more than one iteration and fewer than 50
+    assert len(calls) == (cap < 50)
+    assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-10
+    assert np.max(np.abs(vecs.T @ (problem.mass @ vecs) - np.eye(4))) < 1e-10
 
 
 @pytest.mark.parametrize("method", ["dense", "sparse"])
@@ -392,15 +404,21 @@ def test_separable_solve_matches_dense(case, modes):
     assert np.max(np.abs(gram - np.eye(m))) < 1e-10
 
 
-def test_separable_path_never_iterates(monkeypatch):
-    def no_lobpcg(*args, **kwargs):
-        raise AssertionError("LOBPCG on a separable problem")
+def test_separable_path_skips_the_2d_factorization(monkeypatch):
+    import scipy.sparse.linalg as spla
 
-    monkeypatch.setattr(fem, "_lobpcg", no_lobpcg)
+    def no_iteration(*args, **kwargs):
+        raise AssertionError("2D iteration on a separable problem")
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("2D LU factorization on a separable problem")
+
+    monkeypatch.setattr(fem, "_lobpcg", no_iteration)
+    monkeypatch.setattr(spla, "splu", no_lu)
     for case in _SEPARABLE_CASES:
         vals, _ = solve_smallest(_separable_problem(case, n=24), 4)
         assert np.all(np.diff(vals) >= 0)
-    with pytest.raises(AssertionError, match="LOBPCG"):
+    with pytest.raises(AssertionError, match="2D iteration"):
         solve_smallest(assemble(_OFF_AXIS, SolverConfig(grid_n=24)), 4)
 
 
@@ -434,17 +452,6 @@ _DEFORMED_CASES = [
 ]
 
 
-def _reference_eigenvalues(problem, m):
-    """m smallest eigenvalues from LAPACK on the dense pencil (M, K): its
-    Cholesky factor is K's, and the largest eigenvalues 1/lambda stay
-    accurate where M's small pole rows cost eigh(K, M) up to 1e-10 at n = 24."""
-    from scipy.linalg import eigh
-
-    size = problem.num_dof
-    return 1.0 / eigh(problem.mass.toarray(), problem.stiffness.toarray(), eigvals_only=True,
-                      subset_by_index=[size - m, size - 1])[::-1]
-
-
 @pytest.mark.parametrize("m", [1, 4, 6])
 @pytest.mark.parametrize("n", [12, 24])
 @pytest.mark.parametrize("direction, t", _DEFORMED_CASES)
@@ -452,7 +459,7 @@ def test_lobpcg_matches_dense_pencil(direction, t, n, m):
     problem = assemble(DeformationParams(*direction, t), SolverConfig(grid_n=n))
     assert problem._separable is None
     vals, vecs = solve_smallest(problem, m)
-    ref_vals = _reference_eigenvalues(problem, m)
+    ref_vals, _ = solve_smallest(problem, m, method="dense")
     assert vals.shape == (m,) and vecs.shape == (problem.num_dof, m)
     assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-10
     gram = vecs.T @ (problem.mass @ vecs)
@@ -480,16 +487,19 @@ def test_all_modes_of_a_deformed_problem():
     assert np.max(np.abs(vecs.T @ (problem.mass @ vecs) - np.eye(m))) < 1e-10
 
 
-@pytest.mark.parametrize("direction, t", [((0.6, 0.8), 1.9), ((0.0, 1.0), 1.5)])
-def test_extreme_deformation_is_right_or_raises(direction, t):
-    # near the largest t the deformed metric is far from the round one, and
-    # the t = 0 preconditioner may not bring LOBPCG to the rule in time; it
-    # must then raise, never return unconverged pairs
+# 0.9 to 0.99 of the largest t of each direction, where the round inverse
+# no longer preconditions K(t) and LOBPCG reaches its cap
+@pytest.mark.parametrize("direction, t", [
+    ((0.0, 1.0), 1.414), ((0.0, 1.0), 1.55), ((0.6, 0.8), 1.767), ((0.6, 0.8), 1.94),
+    ((math.cos(0.7), math.sin(0.7)), 1.951),
+])
+def test_extreme_deformation_matches_dense(monkeypatch, direction, t):
     problem = assemble(DeformationParams(*direction, t), SolverConfig(grid_n=16))
-    ref_vals = _reference_eigenvalues(problem, 4)
-    try:
-        vals, _ = solve_smallest(problem, 4)
-    except ConvergenceError as exc:
-        assert exc.residual > 1e-6
-    else:
-        assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-8
+    ref_vals, _ = solve_smallest(problem, 4, method="dense")
+    calls = []
+    shift_invert = fem._shift_invert
+    monkeypatch.setattr(fem, "_shift_invert", lambda *args: calls.append(1) or shift_invert(*args))
+    vals, vecs = solve_smallest(problem, 4)
+    assert calls == [1]
+    assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-10
+    assert np.max(np.abs(vecs.T @ (problem.mass @ vecs) - np.eye(4))) < 1e-10

@@ -1,6 +1,7 @@
 """What `import spheregap` loads: numpy only. The finite-element module and
-the FEM commands need no scipy either; only the Legendre ODE branch and the
-dense test oracle `solve_smallest(method="dense")` import it."""
+the FEM commands need no scipy either; only the Legendre ODE branch, the
+shift-invert fallback for deformations near the largest t and the dense
+test oracle `solve_smallest(method="dense")` import it."""
 import subprocess
 import sys
 
