@@ -5,14 +5,17 @@ independent finite-element cross-check on the deformed domains.
 
 Importing the package loads numpy only. The finite-element module `fem`
 and its re-exported names are imported on first access; they need numpy
-only as well. scipy loads only for the Legendre ODE branch, for the
+only as well. scipy loads only for the Legendre ODE branch and for the
 shift-invert solve that FEM problems near the largest deformation fall back
-to, and for the dense test oracle `fem.solve_smallest(method="dense")`.
+to.
 """
 import importlib as _importlib
 import os as _os
 
-# Cap BLAS/OpenMP parallelism before numpy loads anywhere in the package.
+# Cap BLAS/OpenMP parallelism through the environment variables that a BLAS
+# reads when it loads: a BLAS already loaded before `import spheregap` (by a
+# script that imported numpy or scipy first) keeps its own thread count,
+# while child processes inherit the cap.
 _threads = _os.environ.get("SPHEREGAP_THREADS", "").strip()
 if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -67,7 +70,7 @@ from .variation import (
 __version__ = "0.1.0"
 
 _FEM_NAMES = frozenset({
-    "DiscreteEigenproblem", "GapSlopeResult", "SolverConfig", "assemble",
+    "DiscreteEigenproblem", "GapSlopeResult", "assemble",
     "gap_slope", "numeric_gap", "solve_smallest",
 })
 

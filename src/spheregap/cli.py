@@ -102,35 +102,19 @@ def _cmd_gap_curve(args) -> int:
 
 
 def _cmd_variation(args) -> int:
-    import numpy as np
-
     from . import variation
 
-    if args.z_steps < 1 or args.b_steps < 1:
-        raise ValueError("step counts must be >= 1")
-    zs = np.linspace(0.0, 2.0 * math.pi, args.z_steps)
-    b = args.b
-    if b is not None or args.a is not None:
-        if b is None:
-            b = math.sqrt(max(0.0, 1.0 - args.a**2))
-        a = math.sqrt(max(0.0, 1.0 - b**2))
-        if args.a is not None and not abs(args.a - a) <= 1e-9:
-            raise ValueError("direction must satisfy a = sqrt(1 - b^2)")
-        a_values, b_values = np.array([a]), np.array([b])
-    else:
-        b_values = np.linspace(0.0, 1.0, args.b_steps)
-        a_values = np.sqrt(1.0 - b_values**2)
-    values = variation.gap_variation_grid(zs[:, None], (a_values, b_values))
-    iz, ib = np.unravel_index(np.argmin(values), values.shape)
-    rows = [(z, bv, val) for z, row in zip(zs.tolist(), values.tolist())
-            for bv, val in zip(b_values.tolist(), row)]
-    min_value = float(values[iz, ib])
-    summary = {"min_value": min_value, "argmin_z": float(zs[iz]),
-               "argmin_b": float(b_values[ib]),
+    table = variation.gap_variation_table(args.z_steps, args.b_steps, a=args.a, b=args.b)
+    rows = [(z, bv, val) for z, row in zip(table.z.tolist(), table.values.tolist())
+            for bv, val in zip(table.b.tolist(), row)]
+    best = table.minimum
+    summary = {"min_value": best.value, "argmin_z": best.z, "argmin_b": best.b,
                "reference_16_over_pi": variation.MIN_GAP_VARIATION,
-               "abs_diff": abs(min_value - variation.MIN_GAP_VARIATION)}
+               "abs_diff": abs(best.value - variation.MIN_GAP_VARIATION)}
+    one_direction = args.a is not None or args.b is not None
     _emit(args, "variation",
-          {"a": args.a, "b": b, "z_steps": args.z_steps, "b_steps": args.b_steps},
+          {"a": args.a, "b": table.b.item() if one_direction else None,
+           "z_steps": args.z_steps, "b_steps": args.b_steps},
           ("z", "b", "value"), rows, summary)
     return 0
 
@@ -153,8 +137,7 @@ def _cmd_solve(args) -> int:
     if args.modes < 1:
         raise ValueError("--modes must be >= 1")
     a, b = args.a, args.b
-    config = fem.SolverConfig(grid_n=args.grid_n)
-    problem = fem.assemble(DeformationParams(a, b, args.t), config)
+    problem = fem.assemble(DeformationParams(a, b, args.t), args.grid_n)
     vals, _ = fem.solve_smallest(problem, max(args.modes, 2))
     rows = [(i + 1, float(v)) for i, v in enumerate(vals[: args.modes])]
     gap = float(vals[1] - vals[0])
@@ -172,8 +155,7 @@ def _cmd_gap_slope(args) -> int:
         t_values = [float(x) for x in args.t_list.split(",") if x.strip()]
     except ValueError as exc:
         raise ValueError(f"cannot parse --t-list: {exc}") from None
-    config = fem.SolverConfig(grid_n=args.grid_n)
-    result = fem.gap_slope((a, b), t_values, config)
+    result = fem.gap_slope((a, b), t_values, args.grid_n)
     rows = [(t, g, s) for t, g, s in zip(result.t_values, result.gaps, result.slopes)]
     summary = {
         "slope": result.slope,

@@ -16,8 +16,8 @@ or lune, any beta) and along the direction (1, 0), where b = 0 makes the
 apex offset z vanish and T(t) is the half-lune triangle of angle pi/2 - t.
 Then K = K_r[w11] (x) M_theta + M_r[w22] (x) K_theta and
 M = M_r[m] (x) M_theta, the theta pencil has discrete sine eigenvectors, and
-solve_smallest(method="sparse") solves one small radial pencil per theta
-mode (fast diagonalization, Lynch, Rice & Thomas 1964). Every other problem
+solve_smallest solves one small radial pencil per theta mode (fast
+diagonalization, Lynch, Rice & Thomas 1964). Every other problem
 is a t > 0 deformation of the round (t = 0) problem on the same grid, whose
 stiffness K0 is spectrally equivalent to K(t) uniformly in h. Block LOBPCG
 (Knyazev 2001) solves it, started from the exact t = 0 eigenvectors and
@@ -31,9 +31,10 @@ and M.
 Independent of the closed-form spectra, this provides numeric eigenvalues
 lambda_i(t), gaps, and finite-difference gap slopes for the deformation
 family. The module imports numpy only. scipy loads only on that
-shift-invert path and for method="dense", the LAPACK oracle of the tests.
+shift-invert path.
 """
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -48,8 +49,10 @@ _GAUSS3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 # eigenpairs per gap solve: lambda_1, the split lambda_2 pair and one above
 _GAP_MODES = 4
 
+# largest ||K v - lambda M v|| / ||M v|| that solve_smallest accepts
+_RESIDUAL_TOL = 1e-6
 # LOBPCG stops once its m leading pairs have ||K v - lambda M v|| / ||M v||
-# at or below the caller's tol clipped to [_LOBPCG_RTOL_MIN, _LOBPCG_RTOL]
+# at or below _RESIDUAL_TOL clipped to [_LOBPCG_RTOL_MIN, _LOBPCG_RTOL]
 # |lambda|. The upper end sets the accuracy; the lower end keeps the
 # iteration above its rounding floor (8e-12 |lambda| at n = 256), where the
 # updated K x and M x drift from the true products and the Rayleigh-Ritz
@@ -64,17 +67,6 @@ _LOBPCG_MAX_ITER = 50
 _ARPACK_TOL = 1e-12
 # consecutive t = 0 eigenvalues closer than this (relative) share a cluster
 _CLUSTER_GAP = 0.1
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Grid resolution of the discretization."""
-
-    grid_n: int = 64          # nodes per axis
-
-    def __post_init__(self):
-        if self.grid_n < 8:
-            raise ValueError("grid_n must be >= 8")
 
 
 class StencilMatrix:
@@ -293,22 +285,13 @@ class DiscreteEigenproblem:
 
     stiffness: StencilMatrix
     mass: StencilMatrix
-    keep: np.ndarray            # retained node ids in the full grid numbering
-    grid_r: np.ndarray
-    grid_theta: np.ndarray
-    shape: tuple = field(default=(0, 0))
+    shape: tuple                # (n, n) nodes of the full grid
     # None unless the fields depend on r only
     _separable: _SeparableFactors = field(default=None, repr=False)
 
     @property
     def num_dof(self) -> int:
         return self.stiffness.shape[0]
-
-    def scatter(self, vec: np.ndarray) -> np.ndarray:
-        """Embed a reduced-dof vector back onto the full (n_r, n_theta) grid."""
-        full = np.zeros(self.shape[0] * self.shape[1])
-        full[self.keep] = vec
-        return full.reshape(self.shape)
 
 
 def _reference_basis():
@@ -395,21 +378,25 @@ def _stencil(loc, n, n_r) -> StencilMatrix:
     return StencilMatrix(coef)
 
 
-def assemble(params: DeformationParams, config: SolverConfig, *,
+def assemble(params: DeformationParams, grid_n: int, *,
              beta: float = math.pi / 2, domain: str = "triangle") -> DiscreteEigenproblem:
-    """Assemble the generalized eigenproblem K v = lambda M v.
+    """Assemble the generalized eigenproblem K v = lambda M v on a grid of
+    grid_n x grid_n nodes, grid_n an integer >= 8.
 
     domain "triangle" uses the rectangle [0, r_max] x [0, beta] with
     r_max = pi/2 and a Dirichlet edge at r = r_max; domain "lune" uses
     r_max = pi with pole edges at both r = 0 and r = pi. Deformations
     (t > 0) are defined only for the beta = pi/2 triangle.
     """
+    # numbers.Integral covers int and the numpy integer types
+    if not isinstance(grid_n, numbers.Integral) or grid_n < 8:
+        raise ValueError(f"grid_n must be an integer >= 8, got {grid_n!r}")
     if domain not in ("triangle", "lune"):
         raise ValueError(f"unknown domain {domain!r}")
     if params.t > 0 and (domain != "triangle" or abs(beta - math.pi / 2) > 1e-15):
         raise ValueError("deformed metrics are defined on the beta = pi/2 triangle only")
     r_max = math.pi / 2 if domain == "triangle" else math.pi
-    n = config.grid_n
+    n = int(grid_n)
     n_r = n - 1 if domain == "triangle" else n
     hx = r_max / (n - 1)
     hy = beta / (n - 1)
@@ -439,17 +426,10 @@ def assemble(params: DeformationParams, config: SolverConfig, *,
         m * scale,
         phi, dphx, dphy,
     )
-    ii, jj = np.meshgrid(np.arange(n_r), np.arange(1, n - 1), indexing="ij")
     stiffness, mass = _stencil(kloc, n, n_r), _stencil(mloc, n, n_r)
     if mass.diagonal().min() <= 0:
         raise AssemblyError("mass matrix lost positivity after Dirichlet elimination")
-    return DiscreteEigenproblem(
-        stiffness, mass, (ii * n + jj).ravel(),
-        grid_r=np.linspace(0.0, r_max, n),
-        grid_theta=np.linspace(0.0, beta, n),
-        shape=(n, n),
-        _separable=separable,
-    )
+    return DiscreteEigenproblem(stiffness, mass, (n, n), separable)
 
 
 @lru_cache(maxsize=4)
@@ -486,15 +466,14 @@ def _ritz(gram_a, gram_b, k):
     return vals[:k], to_orth @ vecs[:, :k]
 
 
-def _lobpcg(problem: DiscreteEigenproblem, start: np.ndarray, precondition, m: int,
-            tol: float):
+def _lobpcg(problem: DiscreteEigenproblem, start: np.ndarray, precondition, m: int):
     """m smallest eigenpairs by block LOBPCG from the (k, n) start block.
 
-    The m leading pairs must reach ||r|| <= tol ||M v||, with tol clipped to
-    [_LOBPCG_RTOL_MIN, _LOBPCG_RTOL] |lambda|; the rest of the block guards
-    their convergence, and pairs that meet the rule stop taking search
-    directions (soft locking). Returns None when they have not met it after
-    _LOBPCG_MAX_ITER iterations.
+    The m leading pairs must reach ||r|| <= tol ||M v||, with tol
+    _RESIDUAL_TOL clipped to [_LOBPCG_RTOL_MIN, _LOBPCG_RTOL] |lambda|; the
+    rest of the block guards their convergence, and pairs that meet the
+    rule stop taking search directions (soft locking). Returns None when
+    they have not met it after _LOBPCG_MAX_ITER iterations.
     """
     stiff, mass = problem.stiffness.apply_rows, problem.mass.apply_rows
     x = start
@@ -505,7 +484,8 @@ def _lobpcg(problem: DiscreteEigenproblem, start: np.ndarray, precondition, m: i
     for it in range(_LOBPCG_MAX_ITER + 1):
         r = ax - vals[:, None] * bx
         res = np.linalg.norm(r, axis=1) / np.linalg.norm(bx, axis=1)
-        active = res > np.clip(tol, _LOBPCG_RTOL_MIN * np.abs(vals), _LOBPCG_RTOL * np.abs(vals))
+        active = res > np.clip(_RESIDUAL_TOL, _LOBPCG_RTOL_MIN * np.abs(vals),
+                               _LOBPCG_RTOL * np.abs(vals))
         if not active[:m].any():
             return vals[:m], x[:m].T
         if it == _LOBPCG_MAX_ITER:
@@ -544,7 +524,7 @@ def _shift_invert(problem: DiscreteEigenproblem, m: int):
     return vals[order], vecs[:, order]
 
 
-def _solve_deformed(problem: DiscreteEigenproblem, m: int, tol: float):
+def _solve_deformed(problem: DiscreteEigenproblem, m: int):
     """m smallest eigenpairs of a non-separable problem: LOBPCG over the
     guard block of the t = 0 cluster of lambda_m, started from the exact
     t = 0 eigenvectors and preconditioned by the exact inverse of K0. The
@@ -557,55 +537,45 @@ def _solve_deformed(problem: DiscreteEigenproblem, m: int, tol: float):
         vals, vecs = _pencil_eigh(problem.stiffness.toarray(), problem.mass.toarray())
         return vals[:m], vecs[:, :m]
     start = np.ascontiguousarray(reference.eigenpairs(block)[1].T)
-    found = _lobpcg(problem, start, reference.solve, m, tol)
+    found = _lobpcg(problem, start, reference.solve, m)
     return _shift_invert(problem, m) if found is None else found
 
 
-def solve_smallest(problem: DiscreteEigenproblem, m: int, *,
-                   method: str = "sparse", tol: float = 1e-6):
+def solve_smallest(problem: DiscreteEigenproblem, m: int):
     """m smallest generalized eigenpairs, ascending; returns (values, vectors).
 
-    method "sparse" solves a separable problem (fields depending on r only,
-    see the module docstring) exactly, one small radial pencil per theta
-    mode; otherwise it runs block LOBPCG preconditioned by the exact inverse
+    A separable problem (fields depending on r only, see the module
+    docstring) is solved exactly, one small radial pencil per theta mode.
+    Any other problem runs block LOBPCG preconditioned by the exact inverse
     of the t = 0 stiffness on the same grid, started from the t = 0
     eigenvectors. When LOBPCG reaches its iteration cap, shift-invert ARPACK
     with a sparse LU of K solves the problem instead, and when the problem
-    is too small for the block, its dense pencil does. "dense" is the LAPACK
-    reference path (an oracle for moderate grids). Residuals
-    ||K v - lambda M v|| / ||M v|| on the 2D K and M are checked against tol
-    for every method; when ARPACK does not converge, the ConvergenceError
-    carries the worst residual of the pairs it returned.
+    is too small for the block, its dense pencil does. Every answer must
+    have residuals ||K v - lambda M v|| / ||M v|| <= 1e-6 on the 2D K and M,
+    or ConvergenceError is raised with the worst one; when ARPACK does not
+    converge, it carries the worst residual of the pairs ARPACK returned.
+    The bound is absolute, while the top of the discrete spectrum reaches
+    1e5 to 1e7 on moderate grids, so a request for nearly all num_dof pairs
+    can raise ConvergenceError from n = 24 on.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > problem.num_dof:
         raise ValueError("requested more modes than retained degrees of freedom")
-    if method == "dense":
-        from scipy.linalg import eigh
-
-        stiffness, mass = problem.stiffness.toarray(), problem.mass.toarray()
-        _, vecs = eigh(stiffness, mass, subset_by_index=[0, m - 1])
-        # LAPACK's eigenvalues lose up to 2e-9 relative (n = 48) to the small
-        # mass of the pole rows; the Rayleigh quotients of its vectors err
-        # by the square of their error
-        vals = np.sum(vecs * (stiffness @ vecs), axis=0) / np.sum(vecs * (mass @ vecs), axis=0)
-    elif method == "sparse" and problem._separable is not None:
+    if problem._separable is not None:
         vals, vecs = problem._separable.eigenpairs(m)
-    elif method == "sparse":
-        vals, vecs = _solve_deformed(problem, m, tol)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        vals, vecs = _solve_deformed(problem, m)
     worst = _worst_residual(problem, vals, vecs)
-    if worst > tol:
+    if worst > _RESIDUAL_TOL:
         raise ConvergenceError("eigen-residual above tolerance", worst)
     return vals, vecs
 
 
-def numeric_gap(params: DeformationParams, config: SolverConfig) -> float:
-    """lambda_2 - lambda_1 of the deformed triangle, eigenvalue #2 counted
-    with multiplicity."""
-    vals, _ = solve_smallest(assemble(params, config), _GAP_MODES)
+def numeric_gap(params: DeformationParams, grid_n: int) -> float:
+    """lambda_2 - lambda_1 of the deformed triangle on a grid_n x grid_n
+    grid, eigenvalue #2 counted with multiplicity."""
+    vals, _ = solve_smallest(assemble(params, grid_n), _GAP_MODES)
     return float(vals[1] - vals[0])
 
 
@@ -637,8 +607,9 @@ class GapSlopeResult:
     warning: bool
 
 
-def gap_slope(direction, t_values, config: SolverConfig) -> GapSlopeResult:
-    """Richardson-extrapolated slope of the gap (Gamma(t) - Gamma(0)) / t.
+def gap_slope(direction, t_values, grid_n: int) -> GapSlopeResult:
+    """Richardson-extrapolated slope of the gap (Gamma(t) - Gamma(0)) / t,
+    each gap solved on a grid_n x grid_n grid.
 
     t_values must be positive and decreasing. The second eigenvalue at t = 0
     is discretely split (multiplicity 2 in the continuum); the baseline uses
@@ -652,12 +623,12 @@ def gap_slope(direction, t_values, config: SolverConfig) -> GapSlopeResult:
         raise ValueError("t_values must be positive and strictly decreasing")
     a, b = direction
 
-    problem0 = assemble(DeformationParams(a, b, 0.0), config)
+    problem0 = assemble(DeformationParams(a, b, 0.0), grid_n)
     vals0, vecs0 = solve_smallest(problem0, _GAP_MODES)
 
     solved = []
     for t in ts:
-        problem = assemble(DeformationParams(a, b, t), config)
+        problem = assemble(DeformationParams(a, b, t), grid_n)
         vals, vecs = solve_smallest(problem, _GAP_MODES)
         solved.append((t, vals, vecs))
 

@@ -34,17 +34,23 @@ from .errors import ConvergenceError, DomainError, GammaPoleError
 
 _MAX_TERMS = 800
 _INTEGER_TOL = 1e-9
-DEFAULT_TOL = 1e-10
+# relative size of the last series terms at which a sum counts as converged;
+# finite-difference oracles amplify truncation jumps by 1/h^2
+_SERIES_TOL = 1e-13
 
 
 def gamma_fn(x: float) -> float:
     """Gamma function on the real line, at least 12 significant digits for |x| <= 50.
 
-    Raises GammaPoleError at the poles x = 0, -1, -2, ...
+    Raises GammaPoleError at the poles x = 0, -1, -2, ..., and DomainError
+    where Gamma(x) exceeds the float range (x above about 171.6).
     """
     if x <= 0 and abs(x - round(x)) < 1e-14:
         raise GammaPoleError(f"gamma pole at x = {x}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"gamma({x}) overflows a float") from None
 
 
 def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
@@ -72,20 +78,6 @@ class LegendreParams:
                 f"degree {self.degree} is not |order| + m with integer m >= 0 "
                 f"(order {self.order})"
             )
-
-    @property
-    def offset(self) -> int:
-        """The integer m in degree = |order| + m."""
-        return int(round(self.degree - abs(self.order)))
-
-
-def is_admissible(degree: float, order: float) -> bool:
-    """Whether (degree, order) passes LegendreParams validation."""
-    try:
-        LegendreParams(degree, order)
-    except ValueError:
-        return False
-    return True
 
 
 def _hyp2f1_batch(a: float, b: float, c: float, w, tol: float, max_terms: int):
@@ -116,7 +108,7 @@ def _hyp2f1_batch(a: float, b: float, c: float, w, tol: float, max_terms: int):
     return total, ~active, resid
 
 
-def _series_many(degree, order, x, tol):
+def _series_many(degree, order, x):
     """Hypergeometric-series evaluation for an array of x in [0, 1]."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
@@ -127,7 +119,7 @@ def _series_many(degree, order, x, tol):
         xr = x[rest]
         w = 0.5 * (1.0 - xr)
         vals, conv, resid = _hyp2f1_batch(
-            degree + 1.0, -degree, 1.0 - order, w, tol, _MAX_TERMS
+            degree + 1.0, -degree, 1.0 - order, w, _SERIES_TOL, _MAX_TERMS
         )
         if not conv.all():
             raise ConvergenceError(
@@ -168,53 +160,59 @@ def _ode_continue(degree, order, x_neg):
     return out
 
 
-def legendre_p_many(degree: float, order: float, x, *, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """P_l^mu at an array of points x in (-1, 1], order mu <= 0."""
-    if order > 0:
+def _check_parameters(degree: float, order: float) -> None:
+    """Raise DomainError unless the degree is a number and the order is <= 0."""
+    if math.isnan(degree):
+        raise DomainError("degree must be a number, got nan")
+    if not order <= 0:
         raise DomainError(f"order must be <= 0, got {order}")
+
+
+def legendre_p_many(degree: float, order: float, x) -> np.ndarray:
+    """P_l^mu at an array of points x in (-1, 1], order mu <= 0."""
+    _check_parameters(degree, order)
     if degree < -0.5:
         degree = -degree - 1.0  # P is invariant under degree -> -degree - 1
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x <= -1.0) or np.any(x > 1.0):
+    if not np.all((x > -1.0) & (x <= 1.0)):
         raise DomainError("argument outside (-1, 1]")
     out = np.empty_like(x)
     neg = x < 0.0
-    out[~neg] = _series_many(degree, order, x[~neg], tol)
+    out[~neg] = _series_many(degree, order, x[~neg])
     if neg.any():
         m = degree + order
         if abs(m - round(m)) < _INTEGER_TOL:
             # parity rule, exact for degree - |order| integer
             sign = -1.0 if int(round(m)) % 2 else 1.0
-            out[neg] = sign * _series_many(degree, order, -x[neg], tol)
+            out[neg] = sign * _series_many(degree, order, -x[neg])
         else:
             out[neg] = _ode_continue(degree, order, x[neg])
     return out
 
 
-def legendre_p(degree: float, order: float, x: float, *, tol: float = DEFAULT_TOL) -> float:
+def legendre_p(degree: float, order: float, x: float) -> float:
     """Ferrers function P_l^mu(x) for real degree l, order mu <= 0, x in (-1, 1].
 
     Solves (1-x^2) R'' - 2x R' + [l(l+1) - mu^2/(1-x^2)] R = 0. For mu < 0
     the value tends to 0 as x -> 1.
     """
-    return float(legendre_p_many(degree, order, np.array([x]), tol=tol)[0])
+    return float(legendre_p_many(degree, order, np.array([x]))[0])
 
 
-def legendre_p_dx(degree: float, order: float, x: float, *, tol: float = DEFAULT_TOL) -> float:
+def legendre_p_dx(degree: float, order: float, x: float) -> float:
     """Derivative dP_l^mu/dx at x in [0, 1), from the recurrence DLMF 14.10.5
 
         (1 - x^2) dP_l^mu/dx = (mu - l - 1) P_{l+1}^mu(x) + (l + 1) x P_l^mu(x),
 
     which at x = 0 is the closed form (mu - l - 1) P_{l+1}^mu(0).
     """
-    if order > 0:
-        raise DomainError(f"order must be <= 0, got {order}")
-    if x < 0.0 or x >= 1.0:
+    _check_parameters(degree, order)
+    if not 0.0 <= x < 1.0:
         raise DomainError("derivative path requires x in [0, 1)")
     if x == 0.0:
         return (order - degree - 1.0) * legendre_p_at_zero(degree + 1.0, order)
-    p_up = legendre_p(degree + 1.0, order, x, tol=tol)
-    p = legendre_p(degree, order, x, tol=tol)
+    p_up = legendre_p(degree + 1.0, order, x)
+    p = legendre_p(degree, order, x)
     return ((order - degree - 1.0) * p_up + (degree + 1.0) * x * p) / (1.0 - x * x)
 
 
@@ -227,4 +225,4 @@ def legendre_p_at_zero(degree: float, order: float) -> float:
     g2_arg = 0.5 - 0.5 * (degree + order)
     if _is_nonpositive_integer(g1_arg) or _is_nonpositive_integer(g2_arg):
         return 0.0
-    return 2.0**order * math.sqrt(math.pi) / (math.gamma(g1_arg) * math.gamma(g2_arg))
+    return 2.0**order * math.sqrt(math.pi) / (gamma_fn(g1_arg) * gamma_fn(g2_arg))

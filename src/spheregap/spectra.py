@@ -12,8 +12,8 @@ with degree l = k pi/beta + j for the lune and l = k pi/beta + 2j + 1 for
 the triangle, and eigenvalues l(l+1).
 """
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,10 +22,6 @@ from .quadrature import gauss_legendre
 from .special import LegendreParams, legendre_p_dx, legendre_p_many
 
 COALESCE_RTOL = 1e-9
-
-# internal eigenfunction evaluations use a tighter series tolerance than the
-# library default: finite-difference oracles amplify truncation jumps by 1/h^2
-_EVAL_TOL = 1e-13
 
 # Gauss-Legendre points per axis of the normalization integral
 _NORM_NODES = 200
@@ -61,6 +57,9 @@ class ModeIndex:
     j: int
 
     def __post_init__(self):
+        # numbers.Integral covers int and the numpy integer types
+        if not (isinstance(self.k, numbers.Integral) and isinstance(self.j, numbers.Integral)):
+            raise ValueError(f"k and j must be integers, got k = {self.k!r}, j = {self.j!r}")
         if self.k < 1:
             raise ValueError("k must be a positive integer")
         if self.j < 0:
@@ -182,23 +181,18 @@ def _r_max(spec) -> float:
     return math.pi if isinstance(spec, LuneSpec) else math.pi / 2
 
 
-@lru_cache(maxsize=256)
-def _triangle_radial_scale(degree: float, order: float) -> float:
-    # slope of P in x = cos(r) at the r = pi/2 edge; nonzero because the
-    # radial factor vanishes there and solves a second-order ODE
-    return legendre_p_dx(degree, order, 0.0)
-
-
 def _radial_values(spec, mode: ModeIndex, r):
     params = legendre_params_for(spec, mode)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     x = np.cos(r)
     # south pole r = pi maps to x = -1; admissible modes vanish there
     x_clip = np.where(x <= -1.0, 0.0, x)
-    vals = legendre_p_many(params.degree, params.order, x_clip, tol=_EVAL_TOL)
+    vals = legendre_p_many(params.degree, params.order, x_clip)
     vals = np.where(x <= -1.0, 0.0, vals)
     if isinstance(spec, TriangleSpec):
-        vals = vals / _triangle_radial_scale(params.degree, params.order)
+        # slope of P in x = cos(r) at the r = pi/2 edge; nonzero because the
+        # radial factor vanishes there and solves a second-order ODE
+        vals = vals / legendre_p_dx(params.degree, params.order, 0.0)
     return vals
 
 

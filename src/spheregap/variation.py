@@ -246,13 +246,47 @@ class VariationMinimum:
     b: float
 
 
+@dataclass(frozen=True)
+class VariationTable:
+    """I(z, b) on a grid: values[i, k] belongs to (z[i], b[k])."""
+
+    z: np.ndarray
+    b: np.ndarray
+    values: np.ndarray
+    minimum: VariationMinimum
+
+
+def gap_variation_table(z_steps: int, b_steps: int, *, a=None, b=None) -> VariationTable:
+    """I(z, b) at z_steps angles z spanning [0, 2 pi] and its grid minimum.
+
+    Without a or b the directions are b_steps values of b spanning [0, 1]
+    with a = sqrt(1 - b^2). Otherwise there is one direction,
+    (sqrt(1 - b^2), b), with b = sqrt(1 - a^2) when only a is given; a
+    given a must equal sqrt(1 - b^2) to within 1e-9. Raises ValueError for
+    step counts below 1 or a direction off the unit circle.
+    """
+    if z_steps < 1 or b_steps < 1:
+        raise ValueError("step counts must be >= 1")
+    zs = np.linspace(0.0, 2.0 * PI, z_steps)
+    if a is None and b is None:
+        bs = np.linspace(0.0, 1.0, b_steps)
+        a_values = np.sqrt(1.0 - bs**2)
+    else:
+        if b is None:
+            b = math.sqrt(max(0.0, 1.0 - a**2))
+        derived = math.sqrt(max(0.0, 1.0 - b**2))
+        if a is not None and not abs(a - derived) <= 1e-9:
+            raise ValueError("direction must satisfy a = sqrt(1 - b^2)")
+        a_values, bs = np.array([derived]), np.array([b])
+    values = gap_variation_grid(zs[:, None], (a_values, bs))
+    iz, ib = np.unravel_index(np.argmin(values), values.shape)
+    minimum = VariationMinimum(float(values[iz, ib]), float(zs[iz]), float(bs[ib]))
+    return VariationTable(zs, bs, values, minimum)
+
+
 def minimize_gap_variation(z_steps: int = 2000, b_steps: int = 2000) -> VariationMinimum:
     """Grid minimum of I(z, b) over [0, 2 pi] x [0, 1]; expected value 16/pi."""
-    zg = np.linspace(0.0, 2.0 * PI, max(z_steps, 1))
-    bg = np.linspace(0.0, 1.0, max(b_steps, 1))
-    vals = gap_variation_grid(zg[:, None], (np.sqrt(1.0 - bg**2), bg))
-    iz, ib = np.unravel_index(np.argmin(vals), vals.shape)
-    return VariationMinimum(float(vals[iz, ib]), float(zg[iz]), float(bg[ib]))
+    return gap_variation_table(z_steps, b_steps).minimum
 
 
 def gap_slope_reference() -> float:
@@ -318,6 +352,8 @@ _EXPECTED_TOTALS = {
 }
 
 _TOTAL_CHECK_DIRECTION = (0.6, 0.8)
+# largest absolute difference from a closed form that an entry may show
+_APPENDIX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -342,12 +378,12 @@ class AppendixReport:
         return [e for e in self.entries if not e.passed]
 
 
-def verify_appendix(*, tol: float = 1e-9) -> AppendixReport:
+def verify_appendix() -> AppendixReport:
     """Compare every pairing term and total against its printed closed form.
 
     Terms I..IV are checked at direction (a, b) = (0, 1) and term V at
     (1, 0), isolating their direction coefficient; totals are checked at
-    (0.6, 0.8), exercising both parts at once. A difference >= tol marks
+    (0.6, 0.8), exercising both parts at once. A difference >= 1e-9 marks
     the entry (and the report) as failed rather than raising.
     """
     entries = []
@@ -358,11 +394,11 @@ def verify_appendix(*, tol: float = 1e-9) -> AppendixReport:
         for label, comp, exp in zip(TERM_LABELS, computed, expected):
             err = abs(comp - exp)
             entries.append(AppendixEntry(
-                f"{pair[0]}*{pair[1]}:{label}", comp, exp, err, err < tol))
+                f"{pair[0]}*{pair[1]}:{label}", comp, exp, err, err < _APPENDIX_TOL))
         a, b = _TOTAL_CHECK_DIRECTION
         tot = pairing_terms(PairingSpec(*pair, (a, b))).total
         exp_tot = a * _EXPECTED_TOTALS[pair][0] + b * _EXPECTED_TOTALS[pair][1]
         err = abs(tot - exp_tot)
         entries.append(AppendixEntry(
-            f"{pair[0]}*{pair[1]}:total", tot, exp_tot, err, err < tol))
-    return AppendixReport(tuple(entries), tol)
+            f"{pair[0]}*{pair[1]}:total", tot, exp_tot, err, err < _APPENDIX_TOL))
+    return AppendixReport(tuple(entries), _APPENDIX_TOL)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from spheregap.fem import SolverConfig, assemble, gap_slope, solve_smallest
+from spheregap.fem import assemble, gap_slope, solve_smallest
 from spheregap.geometry import DeformationParams
 from spheregap.special import legendre_p, legendre_p_many
 from spheregap.spectra import (
@@ -45,8 +45,8 @@ def equilateral_solutions():
     """Eigenvalues of the undeformed triangle for grid_n in {24, 48, 96}."""
     out = {}
     for n in (24, 48, 96):
-        problem = assemble(DeformationParams(0.0, 1.0, 0.0), SolverConfig(grid_n=n))
-        vals, _ = solve_smallest(problem, 3, method="sparse")
+        problem = assemble(DeformationParams(0.0, 1.0, 0.0), n)
+        vals, _ = solve_smallest(problem, 3)
         out[n] = vals
     return out
 
@@ -114,7 +114,7 @@ def test_criterion_03_gap_divergence():
 
 def test_criterion_04_appendix_reproduction():
     start = time.perf_counter()
-    report = verify_appendix(tol=1e-9)
+    report = verify_appendix()
     elapsed = time.perf_counter() - start
     worst = max(entry.abs_err for entry in report.entries)
     n_terms = sum(1 for e in report.entries if not e.label.endswith("total"))
@@ -164,21 +164,21 @@ def test_criterion_07_fem_accuracy_and_order(equilateral_solutions):
 
 def test_criterion_07_runtime():
     start = time.perf_counter()
-    problem = assemble(DeformationParams(0.0, 1.0, 0.0), SolverConfig(grid_n=96))
-    solve_smallest(problem, 3, method="sparse")
+    problem = assemble(DeformationParams(0.0, 1.0, 0.0), 96)
+    solve_smallest(problem, 3)
     elapsed = time.perf_counter() - start
     _report(7, "grid-96 assemble-and-solve runtime under 2 minutes",
             elapsed < 120.0, f"runtime {elapsed:.2f} s")
 
 
 def test_criterion_08_gap_slope_axis_directions():
-    config = SolverConfig(grid_n=96)
+    grid_n = 96
     t_values = [0.02, 0.01, 0.005]
     start = time.perf_counter()
     ok = True
     details = []
     for direction in ((1.0, 0.0), (0.0, 1.0)):
-        result = gap_slope(direction, t_values, config)
+        result = gap_slope(direction, t_values, grid_n)
         slope_ok = abs(result.slope - REF_SLOPE) < 0.05 * REF_SLOPE
         curve_ok = all(
             abs(g - remark_gap_curve(t)) < 0.01 * remark_gap_curve(t)
@@ -193,7 +193,7 @@ def test_criterion_08_gap_slope_axis_directions():
 
 
 def test_criterion_09_slope_lower_bound_sampled_directions():
-    config = SolverConfig(grid_n=64)
+    grid_n = 64
     t_values = [0.02, 0.01, 0.005]
     floor = REF_SLOPE * 0.95
     slopes = []
@@ -204,7 +204,7 @@ def test_criterion_09_slope_lower_bound_sampled_directions():
         if a < 1e-12:
             a = 0.0
             b = 1.0
-        result = gap_slope((a, b), t_values, config)
+        result = gap_slope((a, b), t_values, grid_n)
         slopes.append(result.slope)
         ok = ok and result.slope >= floor
     _report(9, "slope >= 0.95 * 16/pi for five sampled directions", ok,
@@ -220,7 +220,7 @@ def test_criterion_10_special_function_suite():
         lam = ell * (ell + 1.0)
         for x in rng.uniform(-0.9, 0.9, size=20):
             h = 1e-4
-            f = legendre_p_many(ell, mu, np.array([x - h, x, x + h]), tol=1e-13)
+            f = legendre_p_many(ell, mu, np.array([x - h, x, x + h]))
             d1 = (f[2] - f[0]) / (2 * h)
             d2 = (f[2] - 2 * f[1] + f[0]) / h**2
             resid = (1 - x * x) * d2 - 2 * x * d1 + (lam - mu * mu / (1 - x * x)) * f[1]

@@ -130,6 +130,18 @@ def test_variation_defaults_find_minimum(capsys):
     assert abs(float(summary["reference_16_over_pi"]) - 16.0 / PI) < 1e-12
 
 
+def test_variation_summary_is_the_library_minimum(capsys):
+    from spheregap.variation import minimize_gap_variation
+
+    code, out = _run(capsys, "variation", "--z-steps", "721", "--b-steps", "201")
+    assert code == 0
+    summary, _, _ = _parse_csv(out)
+    best = minimize_gap_variation(721, 201)
+    # 17 significant digits round-trip a double exactly
+    assert [float(summary[key]).hex() for key in ("min_value", "argmin_z", "argmin_b")] == [
+        best.value.hex(), best.z.hex(), best.b.hex()]
+
+
 def test_variation_fixed_direction(capsys):
     code, out = _run(capsys, "variation", "--a", "1", "--b", "0", "--z-steps", "81")
     assert code == 0

@@ -6,11 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import spheregap.fem as fem
 from spheregap.errors import ConvergenceError
-from spheregap.fem import DiscreteEigenproblem, SolverConfig, assemble, gap_slope, numeric_gap, solve_smallest
+from spheregap.fem import assemble, gap_slope, numeric_gap, solve_smallest
 from spheregap.geometry import DeformationParams, metric_coefficients
 from spheregap.spectra import TriangleSpec, gap as closed_gap
 from spheregap.variation import remark_gap_curve
@@ -18,9 +19,25 @@ from spheregap.variation import remark_gap_curve
 PI = math.pi
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(grid_n=4)
+def _dense_eigh(problem, m):
+    """LAPACK reference for the m smallest eigenpairs of a moderate grid:
+    the dense pencil reduced with the Cholesky factor of M, eigenvalues
+    taken as the Rayleigh quotients of its eigenvectors."""
+    stiffness, mass = problem.stiffness.toarray(), problem.mass.toarray()
+    _, vecs = scipy.linalg.eigh(stiffness, mass, subset_by_index=[0, m - 1])
+    # LAPACK's eigenvalues lose up to 2e-9 relative (n = 48) to the small
+    # mass of the pole rows; the Rayleigh quotients of its vectors err
+    # by the square of their error
+    vals = np.sum(vecs * (stiffness @ vecs), axis=0) / np.sum(vecs * (mass @ vecs), axis=0)
+    return vals, vecs
+
+
+def test_grid_n_validation():
+    params = DeformationParams(0.0, 1.0, 0.0)
+    for grid_n in (4, 7, 16.0, 16.5, "16", None):
+        with pytest.raises(ValueError, match="grid_n must be an integer >= 8"):
+            assemble(params, grid_n)
+    assert assemble(params, np.int64(8)).num_dof == assemble(params, 8).num_dof
 
 
 def test_round_metric_sampled_exactly_at_t_zero():
@@ -36,7 +53,7 @@ def test_round_metric_sampled_exactly_at_t_zero():
 
 def test_matrices_exactly_symmetric():
     params = DeformationParams(0.28, math.sqrt(1 - 0.28**2), 0.03)
-    problem = assemble(params, SolverConfig(grid_n=16))
+    problem = assemble(params, 16)
     for mat in (problem.stiffness, problem.mass):
         dense = mat.toarray()
         assert np.array_equal(dense, dense.T)
@@ -123,7 +140,7 @@ def test_local_matrices_against_plain_loops():
 def test_element_integrals_match_loop_oracle():
     params = DeformationParams(0.6, 0.8, 0.02)
     n = 9
-    problem = assemble(params, SolverConfig(grid_n=n))
+    problem = assemble(params, n)
     K_ref, M_ref = _loop_assemble(params, n)
     scale = np.max(np.abs(K_ref))
     assert np.max(np.abs(problem.stiffness.toarray() - K_ref)) < 1e-12 * scale
@@ -132,14 +149,14 @@ def test_element_integrals_match_loop_oracle():
 
 def test_dense_and_sparse_solvers_agree():
     params = DeformationParams(0.3, math.sqrt(1 - 0.09), 0.03)
-    problem = assemble(params, SolverConfig(grid_n=32))
-    vals_d, _ = solve_smallest(problem, 3, method="dense")
-    vals_s, _ = solve_smallest(problem, 3, method="sparse")
+    problem = assemble(params, 32)
+    vals_d, _ = _dense_eigh(problem, 3)
+    vals_s, _ = solve_smallest(problem, 3)
     assert np.max(np.abs(vals_d - vals_s)) < 1e-7
 
 
 def test_equilateral_eigenvalues():
-    problem = assemble(DeformationParams(0.0, 1.0, 0.0), SolverConfig(grid_n=48))
+    problem = assemble(DeformationParams(0.0, 1.0, 0.0), 48)
     vals, _ = solve_smallest(problem, 3)
     assert abs(vals[0] - 12.0) < 1e-3 * 12.0
     # nearly degenerate second pair at 30
@@ -150,40 +167,43 @@ def test_equilateral_eigenvalues():
 
 def test_general_triangle_against_closed_form():
     beta = PI / 4
-    problem = assemble(DeformationParams(0.0, 1.0, 0.0), SolverConfig(grid_n=48),
-                       beta=beta)
+    problem = assemble(DeformationParams(0.0, 1.0, 0.0), 48, beta=beta)
     vals, _ = solve_smallest(problem, 1)
     exact = 5.0 * 6.0  # first closed-form eigenvalue at beta = pi/4
     assert abs(vals[0] - exact) < 0.01 * exact
 
 
 def test_lune_domain_and_monotonicity():
-    cfg = SolverConfig(grid_n=48)
-    lune = assemble(DeformationParams(0.0, 1.0, 0.0), cfg, beta=PI / 2, domain="lune")
+    grid_n = 48
+    lune = assemble(DeformationParams(0.0, 1.0, 0.0), grid_n, beta=PI / 2, domain="lune")
     vals_lune, _ = solve_smallest(lune, 3)
     assert abs(vals_lune[0] - 6.0) < 0.01 * 6.0
-    tri = assemble(DeformationParams(0.0, 1.0, 0.0), cfg)
+    tri = assemble(DeformationParams(0.0, 1.0, 0.0), grid_n)
     vals_tri, _ = solve_smallest(tri, 1)
     # the triangle is a subdomain of the lune, so its lowest mode sits higher
     assert vals_tri[0] > vals_lune[0]
 
 
 def test_eigenvector_matches_first_eigenfunction():
-    problem = assemble(DeformationParams(0.0, 1.0, 0.0), SolverConfig(grid_n=48))
+    n = 48
+    problem = assemble(DeformationParams(0.0, 1.0, 0.0), n)
     vals, vecs = solve_smallest(problem, 1)
-    grid = problem.scatter(vecs[:, 0])
-    R, T = np.meshgrid(problem.grid_r, problem.grid_theta, indexing="ij")
-    u1 = np.sin(R) ** 2 * np.cos(R) * np.sin(2 * T)
-    cos = abs(np.sum(grid * u1)) / (np.linalg.norm(grid) * np.linalg.norm(u1))
+    # the retained nodes, numbered i * (n - 2) + j - 1, lie at r = i h for
+    # i < n - 1 and theta = j h for 0 < j < n - 1; u1 vanishes on the others
+    h = (PI / 2) / (n - 1)
+    R, T = np.meshgrid(h * np.arange(n - 1), h * np.arange(1, n - 1), indexing="ij")
+    u1 = (np.sin(R) ** 2 * np.cos(R) * np.sin(2 * T)).ravel()
+    v = vecs[:, 0]
+    cos = abs(np.sum(v * u1)) / (np.linalg.norm(v) * np.linalg.norm(u1))
     assert cos > 0.999
 
 
 def test_numeric_gap_and_exact_curve():
-    cfg = SolverConfig(grid_n=48)
-    g0 = numeric_gap(DeformationParams(0.0, 1.0, 0.0), cfg)
+    grid_n = 48
+    g0 = numeric_gap(DeformationParams(0.0, 1.0, 0.0), grid_n)
     assert abs(g0 - 18.0) < 0.01 * 18.0
     for a, b in ((0.0, 1.0), (1.0, 0.0)):
-        g = numeric_gap(DeformationParams(a, b, 0.05), cfg)
+        g = numeric_gap(DeformationParams(a, b, 0.05), grid_n)
         exact = remark_gap_curve(0.05)
         assert abs(g - exact) < 0.01 * exact
         # the one-sided deformation is congruent to a narrower half-lune
@@ -192,7 +212,7 @@ def test_numeric_gap_and_exact_curve():
 
 
 def test_gap_slope_axis_direction():
-    result = gap_slope((0.0, 1.0), [0.02, 0.01, 0.005], SolverConfig(grid_n=48))
+    result = gap_slope((0.0, 1.0), [0.02, 0.01, 0.005], 48)
     ref = 16.0 / PI
     assert abs(result.slope - ref) < 0.05 * ref
     assert len(result.slopes) == 3 and len(result.gaps) == 3
@@ -201,52 +221,51 @@ def test_gap_slope_axis_direction():
 
 
 def test_gap_slope_validation():
-    cfg = SolverConfig(grid_n=16)
+    grid_n = 16
     with pytest.raises(ValueError):
-        gap_slope((0.0, 1.0), [0.01, 0.02], cfg)  # not decreasing
+        gap_slope((0.0, 1.0), [0.01, 0.02], grid_n)  # not decreasing
     with pytest.raises(ValueError):
-        gap_slope((0.0, 1.0), [], cfg)
+        gap_slope((0.0, 1.0), [], grid_n)
     with pytest.raises(ValueError):
-        gap_slope((0.0, 1.0), [0.01, -0.005], cfg)
+        gap_slope((0.0, 1.0), [0.01, -0.005], grid_n)
     for t_values in ([math.nan], [0.02, math.nan]):
         with pytest.raises(ValueError, match="strictly decreasing"):
-            gap_slope((0.0, 1.0), t_values, cfg)
+            gap_slope((0.0, 1.0), t_values, grid_n)
 
 
 def test_assemble_validation():
-    cfg = SolverConfig(grid_n=16)
+    grid_n = 16
     with pytest.raises(ValueError):
-        assemble(DeformationParams(0.0, 1.0, 0.1), cfg, domain="lune")
+        assemble(DeformationParams(0.0, 1.0, 0.1), grid_n, domain="lune")
     with pytest.raises(ValueError):
-        assemble(DeformationParams(0.0, 1.0, 0.1), cfg, beta=1.0)
+        assemble(DeformationParams(0.0, 1.0, 0.1), grid_n, beta=1.0)
     with pytest.raises(ValueError):
-        assemble(DeformationParams(0.0, 1.0, 0.0), cfg, domain="disk")
-    problem = assemble(DeformationParams(0.0, 1.0, 0.0), cfg)
+        assemble(DeformationParams(0.0, 1.0, 0.0), grid_n, domain="disk")
+    problem = assemble(DeformationParams(0.0, 1.0, 0.0), grid_n)
     with pytest.raises(ValueError):
         solve_smallest(problem, problem.num_dof + 1)
-    for method in ("sparse", "dense"):
-        with pytest.raises(ValueError, match="m must be >= 1"):
-            solve_smallest(problem, 0, method=method)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        solve_smallest(problem, 0)
 
 
-# an off-axis deformation at t > 0 is not separable, so "sparse" runs LOBPCG
+# an off-axis deformation at t > 0 is not separable, so it runs LOBPCG
 _OFF_AXIS = DeformationParams(0.6, 0.8, 0.01)
 
 
-@pytest.mark.parametrize("method", ["dense", "sparse"])
-def test_residual_tolerance_enforced(method):
-    problem = assemble(_OFF_AXIS, SolverConfig(grid_n=24))
+def test_residual_tolerance_enforced(monkeypatch):
+    problem = assemble(_OFF_AXIS, 24)
     assert problem._separable is None
+    monkeypatch.setattr(fem, "_RESIDUAL_TOL", 1e-300)
     with pytest.raises(ConvergenceError):
-        solve_smallest(problem, 2, method=method, tol=1e-300)
+        solve_smallest(problem, 2)
 
 
 @pytest.mark.parametrize("partial", [1, 0])
 def test_arpack_failure_reports_reached_residual(monkeypatch, partial):
     import scipy.sparse.linalg as spla
 
-    problem = assemble(_OFF_AXIS, SolverConfig(grid_n=24))
-    vals, vecs = solve_smallest(problem, 2, method="dense")
+    problem = assemble(_OFF_AXIS, 24)
+    vals, vecs = _dense_eigh(problem, 2)
     # one returned pair, its eigenvalue off by 1 %: a known finite residual
     got_vals, got_vecs = 1.01 * vals[:partial], vecs[:, :partial]
 
@@ -257,7 +276,7 @@ def test_arpack_failure_reports_reached_residual(monkeypatch, partial):
     monkeypatch.setattr(fem, "_LOBPCG_MAX_ITER", 0)
     monkeypatch.setattr(spla, "eigsh", no_convergence)
     with pytest.raises(ConvergenceError, match="did not converge") as info:
-        solve_smallest(problem, 2, method="sparse")
+        solve_smallest(problem, 2)
     if partial:
         mv = problem.mass @ got_vecs[:, 0]
         expected = (np.linalg.norm(problem.stiffness @ got_vecs[:, 0] - got_vals[0] * mv)
@@ -270,8 +289,8 @@ def test_arpack_failure_reports_reached_residual(monkeypatch, partial):
 
 @pytest.mark.parametrize("cap", [0, 1, 50])
 def test_iteration_cap_hands_over_to_shift_invert(monkeypatch, cap):
-    problem = assemble(DeformationParams(0.6, 0.8, 0.3), SolverConfig(grid_n=24))
-    ref_vals, _ = solve_smallest(problem, 4, method="dense")
+    problem = assemble(DeformationParams(0.6, 0.8, 0.3), 24)
+    ref_vals, _ = _dense_eigh(problem, 4)
     calls = []
     shift_invert = fem._shift_invert
     monkeypatch.setattr(fem, "_LOBPCG_MAX_ITER", cap)
@@ -283,16 +302,15 @@ def test_iteration_cap_hands_over_to_shift_invert(monkeypatch, cap):
     assert np.max(np.abs(vecs.T @ (problem.mass @ vecs) - np.eye(4))) < 1e-10
 
 
-@pytest.mark.parametrize("method", ["dense", "sparse"])
-def test_solve_smallest_bitwise_across_processes(method):
+def test_solve_smallest_bitwise_across_processes():
     # a fresh interpreter must reproduce the in-process eigenvalues exactly
-    problem = assemble(DeformationParams(0.0, 1.0, 0.05), SolverConfig(grid_n=24))
-    vals, _ = solve_smallest(problem, 2, method=method)
+    problem = assemble(DeformationParams(0.0, 1.0, 0.05), 24)
+    vals, _ = solve_smallest(problem, 2)
     code = (
         "import spheregap.fem as fem\n"
         "from spheregap.geometry import DeformationParams\n"
-        "p = fem.assemble(DeformationParams(0.0, 1.0, 0.05), fem.SolverConfig(grid_n=24))\n"
-        f"v, _ = fem.solve_smallest(p, 2, method={method!r})\n"
+        "p = fem.assemble(DeformationParams(0.0, 1.0, 0.05), 24)\n"
+        "v, _ = fem.solve_smallest(p, 2)\n"
         "print(*(float(x).hex() for x in v))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -301,13 +319,13 @@ def test_solve_smallest_bitwise_across_processes(method):
 
 
 def test_lobpcg_bitwise_across_processes():
-    problem = assemble(DeformationParams(0.6, 0.8, 0.05), SolverConfig(grid_n=24))
+    problem = assemble(DeformationParams(0.6, 0.8, 0.05), 24)
     vals, vecs = solve_smallest(problem, 4)
     code = (
         "import hashlib\n"
         "import spheregap.fem as fem\n"
         "from spheregap.geometry import DeformationParams\n"
-        "p = fem.assemble(DeformationParams(0.6, 0.8, 0.05), fem.SolverConfig(grid_n=24))\n"
+        "p = fem.assemble(DeformationParams(0.6, 0.8, 0.05), 24)\n"
         "v, x = fem.solve_smallest(p, 4)\n"
         "print(*(float(y).hex() for y in v), hashlib.sha256(x.tobytes()).hexdigest())\n"
     )
@@ -354,7 +372,7 @@ def _pointwise_assemble(params, n):
 @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)])
 def test_assembly_matches_pointwise_sampling(n, direction):
     params = DeformationParams(*direction, 0.03)
-    problem = assemble(params, SolverConfig(grid_n=n))
+    problem = assemble(params, n)
     for got, ref in zip((problem.stiffness, problem.mass), _pointwise_assemble(params, n)):
         got, ref = got.toarray(), ref.toarray()
         pattern = ref != 0
@@ -375,7 +393,7 @@ _SEPARABLE_CASES = {
 
 def _separable_problem(case, n=10):
     params, beta, domain = _SEPARABLE_CASES[case]
-    problem = assemble(params, SolverConfig(grid_n=n), beta=beta, domain=domain)
+    problem = assemble(params, n, beta=beta, domain=domain)
     assert problem._separable is not None
     return problem
 
@@ -386,12 +404,12 @@ def test_separable_solve_matches_dense(case, modes):
     problem = _separable_problem(case)
     m = problem.num_dof if modes == "all" else modes
     vals, vecs = solve_smallest(problem, m)
-    ref_vals, ref_vecs = solve_smallest(problem, m, method="dense")
+    ref_vals, ref_vecs = _dense_eigh(problem, m)
     assert vals.shape == (m,) and vecs.shape == (problem.num_dof, m)
     assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-10
     # eigenvectors are unique up to sign where the eigenvalue is simple; the
     # neighbour above the last requested one is needed to tell
-    everything, _ = solve_smallest(problem, problem.num_dof, method="dense")
+    everything, _ = _dense_eigh(problem, problem.num_dof)
     near = np.minimum(np.abs(everything - np.roll(everything, 1)),
                       np.abs(everything - np.roll(everything, -1)))[:m]
     simple = near > 1e-6 * everything[:m]
@@ -419,13 +437,14 @@ def test_separable_path_skips_the_2d_factorization(monkeypatch):
         vals, _ = solve_smallest(_separable_problem(case, n=24), 4)
         assert np.all(np.diff(vals) >= 0)
     with pytest.raises(AssertionError, match="2D iteration"):
-        solve_smallest(assemble(_OFF_AXIS, SolverConfig(grid_n=24)), 4)
+        solve_smallest(assemble(_OFF_AXIS, 24), 4)
 
 
-def test_separable_answers_pass_residual_gate():
+def test_separable_answers_pass_residual_gate(monkeypatch):
     problem = _separable_problem("axis-deformed", n=24)
+    monkeypatch.setattr(fem, "_RESIDUAL_TOL", 1e-300)
     with pytest.raises(ConvergenceError) as info:
-        solve_smallest(problem, 4, tol=1e-300)
+        solve_smallest(problem, 4)
     assert 0 < info.value.residual < 1e-9
 
 
@@ -436,7 +455,7 @@ def test_separable_solve_bitwise_across_processes():
         "import hashlib\n"
         "import spheregap.fem as fem\n"
         "from spheregap.geometry import DeformationParams\n"
-        "p = fem.assemble(DeformationParams(1.0, 0.0, 0.05), fem.SolverConfig(grid_n=24))\n"
+        "p = fem.assemble(DeformationParams(1.0, 0.0, 0.05), 24)\n"
         "v, x = fem.solve_smallest(p, 4)\n"
         "print(*(float(y).hex() for y in v), hashlib.sha256(x.tobytes()).hexdigest())\n"
     )
@@ -456,10 +475,10 @@ _DEFORMED_CASES = [
 @pytest.mark.parametrize("n", [12, 24])
 @pytest.mark.parametrize("direction, t", _DEFORMED_CASES)
 def test_lobpcg_matches_dense_pencil(direction, t, n, m):
-    problem = assemble(DeformationParams(*direction, t), SolverConfig(grid_n=n))
+    problem = assemble(DeformationParams(*direction, t), n)
     assert problem._separable is None
     vals, vecs = solve_smallest(problem, m)
-    ref_vals, _ = solve_smallest(problem, m, method="dense")
+    ref_vals, _ = _dense_eigh(problem, m)
     assert vals.shape == (m,) and vecs.shape == (problem.num_dof, m)
     assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-10
     gram = vecs.T @ (problem.mass @ vecs)
@@ -478,10 +497,10 @@ def test_separable_inverse_is_exact(case):
 
 def test_all_modes_of_a_deformed_problem():
     # 3 * block > num_dof, so the deformed problem takes the dense pencil
-    problem = assemble(_OFF_AXIS, SolverConfig(grid_n=8))
+    problem = assemble(_OFF_AXIS, 8)
     m = problem.num_dof
     vals, vecs = solve_smallest(problem, m)
-    ref_vals, _ = solve_smallest(problem, m, method="dense")
+    ref_vals, _ = _dense_eigh(problem, m)
     assert vals.shape == (m,) and vecs.shape == (m, m)
     assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-10
     assert np.max(np.abs(vecs.T @ (problem.mass @ vecs) - np.eye(m))) < 1e-10
@@ -494,8 +513,8 @@ def test_all_modes_of_a_deformed_problem():
     ((math.cos(0.7), math.sin(0.7)), 1.951),
 ])
 def test_extreme_deformation_matches_dense(monkeypatch, direction, t):
-    problem = assemble(DeformationParams(*direction, t), SolverConfig(grid_n=16))
-    ref_vals, _ = solve_smallest(problem, 4, method="dense")
+    problem = assemble(DeformationParams(*direction, t), 16)
+    ref_vals, _ = _dense_eigh(problem, 4)
     calls = []
     shift_invert = fem._shift_invert
     monkeypatch.setattr(fem, "_shift_invert", lambda *args: calls.append(1) or shift_invert(*args))

@@ -1,7 +1,6 @@
 """What `import spheregap` loads: numpy only. The finite-element module and
-the FEM commands need no scipy either; only the Legendre ODE branch, the
-shift-invert fallback for deformations near the largest t and the dense
-test oracle `solve_smallest(method="dense")` import it."""
+the FEM commands need no scipy either; only the Legendre ODE branch and the
+shift-invert fallback for deformations near the largest t import it."""
 import subprocess
 import sys
 
@@ -44,9 +43,9 @@ def test_fem_names_resolve_lazily():
         "import spheregap\n"
         "print('spheregap.fem' in sys.modules, 'assemble' in dir(spheregap))\n"
         "import spheregap.fem as fem\n"
-        "from spheregap import SolverConfig, gap_slope\n"
+        "from spheregap import numeric_gap, gap_slope\n"
         "print(spheregap.fem is fem, spheregap.assemble is fem.assemble,\n"
-        "      SolverConfig is fem.SolverConfig, gap_slope is fem.gap_slope)\n"
+        "      numeric_gap is fem.numeric_gap, gap_slope is fem.gap_slope)\n"
         "try:\n"
         "    spheregap.no_such_name\n"
         "except AttributeError:\n"
@@ -77,9 +76,12 @@ def test_fem_loads_no_scipy():
         "commands = [\n"
         "    ['solve', '--a', '0.6', '--b', '0.8', '--t', '0.05', '--grid-n', '16'],\n"
         "    ['gap-slope', '--a', '0', '--b', '1', '--grid-n', '12'],\n"
+        "    # every mode of a deformed problem: its dense pencil\n"
+        "    ['solve', '--a', '0.6', '--b', '0.8', '--t', '0.01', '--grid-n', '8',\n"
+        "     '--modes', '42'],\n"
         "]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(argv) for argv in commands]\n"
         f"print(codes, {_SCIPY_LOADED})\n"
     )
-    assert _run(code).splitlines() == ["False", "[0, 0] False"]
+    assert _run(code).splitlines() == ["False", "[0, 0, 0] False"]

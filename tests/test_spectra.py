@@ -56,6 +56,11 @@ def test_spec_validation():
         ModeIndex(0, 0)
     with pytest.raises(ValueError):
         ModeIndex(1, -1)
+    for k, j in ((1.5, 0), (1, 0.5), (1.0, 0), ("1", 0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            ModeIndex(k, j)
+    mode = ModeIndex(np.int64(2), np.int32(1))
+    assert lune_eigenvalue(LuneSpec(PI / 2), mode) == lune_eigenvalue(LuneSpec(PI / 2), ModeIndex(2, 1))
 
 
 # ------------------------------------------------------------ spectrum
@@ -204,6 +209,11 @@ def test_eigenfunction_domain_error():
         eigenfunction_eval(tri, ModeIndex(1, 0), PI / 2 + 0.1, 0.3)
     with pytest.raises(DomainError):
         eigenfunction_eval(tri, ModeIndex(1, 0), 0.3, -0.1)
+    # at beta = 0.01 the order is -100 pi and Gamma(1 - order) overflows
+    with pytest.raises(DomainError, match="overflows"):
+        eigenfunction_eval(TriangleSpec(0.01), ModeIndex(1, 0), 0.5, 0.001)
+    with pytest.raises(DomainError, match="overflows"):
+        normalization_constant(LuneSpec(0.01), ModeIndex(1, 0))
 
 
 def _fd_sphere_laplacian(spec, mode, r, theta, h=1e-4):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import spheregap.variation as variation
 from spheregap.quadrature import gauss_legendre
 from spheregap.variation import (
     C1,
@@ -15,6 +16,7 @@ from spheregap.variation import (
     PairingSpec,
     gap_slope_reference,
     gap_variation_grid,
+    gap_variation_table,
     gap_variation_I,
     gap_variation_I_closed,
     lambda1_dot,
@@ -168,6 +170,29 @@ def test_grid_minimum():
     assert result.value >= 16.0 / PI - 1e-9
 
 
+def test_grid_step_counts_must_be_positive():
+    for z_steps, b_steps in ((0, 0), (0, 5), (5, 0), (-1, 5)):
+        with pytest.raises(ValueError, match="step counts must be >= 1"):
+            minimize_gap_variation(z_steps, b_steps)
+        with pytest.raises(ValueError, match="step counts must be >= 1"):
+            gap_variation_table(z_steps, b_steps, b=0.5)
+
+
+def test_variation_table_one_direction():
+    # a single direction ignores b_steps; b follows from a when only a is given
+    for kwargs in ({"b": 0.8}, {"a": 0.6}, {"a": 0.6, "b": 0.8}):
+        table = gap_variation_table(37, 5, **kwargs)
+        assert table.values.shape == (37, 1)
+        assert table.b[0] == pytest.approx(0.8, abs=1e-15)
+        iz = int(np.argmin(table.values[:, 0]))
+        assert table.minimum.value == table.values[iz, 0]
+        assert table.minimum.z == table.z[iz] and table.minimum.b == table.b[0]
+        assert table.minimum.value == pytest.approx(
+            gap_variation_I_closed(table.minimum.z, 0.8), abs=1e-12)
+    with pytest.raises(ValueError, match=r"a = sqrt\(1 - b\^2\)"):
+        gap_variation_table(5, 5, a=0.6, b=0.6)
+
+
 def test_variation_lower_bound_everywhere():
     rng = np.random.default_rng(83)
     floor = 16.0 / PI - 1e-9
@@ -202,7 +227,11 @@ def test_verify_appendix_passes():
     assert "u1*u1:I" in labels and "u2_2*u2_2:total" in labels
 
 
-def test_verify_appendix_reports_failures_instead_of_passing_silently():
-    report = verify_appendix(tol=1e-18)
+def test_verify_appendix_reports_failures_instead_of_passing_silently(monkeypatch):
+    # one printed value off by 1e-6: only its entry fails, and the report with it
+    terms = list(variation._EXPECTED_TERMS[("u1", "u1")])
+    terms[0] += 1e-6
+    monkeypatch.setitem(variation._EXPECTED_TERMS, ("u1", "u1"), tuple(terms))
+    report = verify_appendix()
     assert not report.passed
-    assert len(report.failures()) > 0
+    assert [e.label for e in report.failures()] == ["u1*u1:I"]
