@@ -22,12 +22,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# a float CSV cell: 17 significant digits
+_FLOAT = "%.17g"
+
+
 def _template(values) -> str:
-    """%-template of one CSV line: 17 significant digits for floats."""
-    return ",".join("%.17g" if isinstance(v, float) else "%s" for v in values)
+    """%-template of one CSV line."""
+    return ",".join(_FLOAT if isinstance(v, float) else "%s" for v in values)
 
 
-def _emit(args, command: str, params: dict, columns, rows, summary=None) -> None:
+def _grid_blocks(z, b, values):
+    """The CSV lines (z, b, value) of the grid values[i, k] = I(z[i], b[k]),
+    one block of len(b) lines per z. Each b cell is formatted once, and each
+    block takes one %-call on a template whose z and b cells are filled in."""
+    tails = [_FLOAT % bv + "," + _FLOAT for bv in b]
+    for zv, row in zip(z, values):
+        z_cell = _FLOAT % zv + ","
+        yield (z_cell + ("\n" + z_cell).join(tails)) % tuple(row.tolist())
+
+
+def _emit(args, command: str, params: dict, columns, rows, summary=None, blocks=None) -> None:
+    """Write a command's output. rows holds the row tuples. A large table may
+    pass its CSV lines pre-rendered in blocks, strings of whole lines; rows
+    is then read for JSON only, and may be a generator."""
     if args.format == "json":
         payload = {"command": command, "params": params,
                    "rows": [dict(zip(columns, row)) for row in rows]}
@@ -39,11 +56,13 @@ def _emit(args, command: str, params: dict, columns, rows, summary=None) -> None
     lines = [("# %s=" + _template((value,))) % (key, value)
              for key, value in (summary or {}).items()]
     lines.append(",".join(columns))
-    if rows:
+    sys.stdout.write("\n".join(lines) + "\n")
+    if blocks is None and rows:
         # every row of a command has the cell types of its first row
         template = _template(rows[0])
-        lines.extend(template % tuple(row) for row in rows)
-    sys.stdout.write("\n".join(lines) + "\n")
+        blocks = ["\n".join(template % tuple(row) for row in rows)]
+    for block in blocks or ():
+        sys.stdout.write(block + "\n")
 
 
 def _resolve_beta(args, name: str = "beta") -> float:
@@ -105,8 +124,9 @@ def _cmd_variation(args) -> int:
     from . import variation
 
     table = variation.gap_variation_table(args.z_steps, args.b_steps, a=args.a, b=args.b)
-    rows = [(z, bv, val) for z, row in zip(table.z.tolist(), table.values.tolist())
-            for bv, val in zip(table.b.tolist(), row)]
+    z, b = table.z.tolist(), table.b.tolist()
+    # built only for JSON; CSV takes the blocks
+    rows = ((zv, bv, val) for zv, row in zip(z, table.values) for bv, val in zip(b, row.tolist()))
     best = table.minimum
     summary = {"min_value": best.value, "argmin_z": best.z, "argmin_b": best.b,
                "reference_16_over_pi": variation.MIN_GAP_VARIATION,
@@ -115,7 +135,7 @@ def _cmd_variation(args) -> int:
     _emit(args, "variation",
           {"a": args.a, "b": table.b.item() if one_direction else None,
            "z_steps": args.z_steps, "b_steps": args.b_steps},
-          ("z", "b", "value"), rows, summary)
+          ("z", "b", "value"), rows, summary, _grid_blocks(z, b, table.values))
     return 0
 
 

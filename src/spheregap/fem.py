@@ -46,8 +46,10 @@ from .geometry import DeformationParams, metric_coefficients
 _GAUSS3_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 _GAUSS3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
-# eigenpairs per gap solve: lambda_1, the split lambda_2 pair and one above
-_GAP_MODES = 4
+# eigenpairs per gap solve: lambda_1 (12 at t = 0) and the split lambda_2
+# pair (30). The next t = 0 eigenvalue, the triple 56, lies far enough above
+# them that the LOBPCG guard block is these 3 pairs alone
+_GAP_MODES = 3
 
 # largest ||K v - lambda M v|| / ||M v|| that solve_smallest accepts
 _RESIDUAL_TOL = 1e-6
@@ -111,18 +113,19 @@ class StencilMatrix:
                                    slice(max(0, -shift), size - max(0, shift))))
         return shifts
 
-    def apply_rows(self, x: np.ndarray) -> np.ndarray:
+    def apply_rows(self, x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """A applied to every row of a (k, n) block, one row at a time so
-        that a row, its image and a product stay in cache."""
+        that a row, its image and a product stay in cache; the image goes to
+        `out` when given, which must not overlap x."""
         centre = self.coef[1, 1].ravel()
-        y = np.empty_like(x)
+        y = np.empty_like(x) if out is None else out
         tmp = np.empty(x.shape[1])
         for xi, yi in zip(x, y):
             np.multiply(centre, xi, out=yi)
-            for shift, c, out in self._shifts:
-                prod = tmp[out]
-                np.multiply(c[out], xi[out.start + shift:out.stop + shift], out=prod)
-                yi[out] += prod
+            for shift, c, span in self._shifts:
+                prod = tmp[span]
+                np.multiply(c[span], xi[span.start + shift:span.stop + shift], out=prod)
+                yi[span] += prod
         return y
 
     def __matmul__(self, x):
@@ -474,32 +477,54 @@ def _lobpcg(problem: DiscreteEigenproblem, start: np.ndarray, precondition, m: i
     rest of the block guards their convergence, and pairs that meet the
     rule stop taking search directions (soft locking). Returns None when
     they have not met it after _LOBPCG_MAX_ITER iterations.
+
+    The basis [x | w | p] and its K- and M-images live in two sets of
+    preallocated (3k, n) buffers that take turns. In the current set, rows
+    [0, k) hold x, the search directions w of the active pairs follow it
+    and the active rows of p follow w; the Rayleigh-Ritz step reads that
+    set and writes the new x to rows [0, k) and the new p to rows [2k, 3k)
+    of the other one, which then becomes current.
     """
     stiff, mass = problem.stiffness.apply_rows, problem.mass.apply_rows
-    x = start
-    ax, bx = stiff(x), mass(x)
-    vals, coef = _ritz(x @ ax.T, x @ bx.T, len(x))
-    x, ax, bx = coef.T @ x, coef.T @ ax, coef.T @ bx
-    p = None
+    k, n = start.shape
+    # each set is (basis, K basis, M basis)
+    cur, nxt = ([np.empty((3 * k, n)) for _ in range(3)] for _ in range(2))
+    cur[0][:k] = start
+    stiff(start, out=cur[1][:k])
+    mass(start, out=cur[2][:k])
+    used = k
     for it in range(_LOBPCG_MAX_ITER + 1):
-        r = ax - vals[:, None] * bx
+        s, as_, bs = (block[:used] for block in cur)
+        vals, coef = _ritz(s @ as_.T, s @ bs.T, k)
+        # the new Ritz vectors, and their part outside the old ones
+        for old, new in zip(cur, nxt):
+            np.matmul(coef.T, old[:used], out=new[:k])
+            if used > k:
+                np.matmul(coef[k:].T, old[k:used], out=new[2 * k:])
+        has_p = used > k
+        cur, nxt = nxt, cur
+        x, ax, bx = (block[:k] for block in cur)
+        # the residuals, in rows that w overwrites once they are used
+        r = np.multiply(vals[:, None], bx, out=cur[0][k:2 * k])
+        np.subtract(ax, r, out=r)
         res = np.linalg.norm(r, axis=1) / np.linalg.norm(bx, axis=1)
         active = res > np.clip(_RESIDUAL_TOL, _LOBPCG_RTOL_MIN * np.abs(vals),
                                _LOBPCG_RTOL * np.abs(vals))
         if not active[:m].any():
-            return vals[:m], x[:m].T
+            return vals[:m], x[:m].copy().T
         if it == _LOBPCG_MAX_ITER:
             return None
-        w = precondition(r[active])
+        na = np.count_nonzero(active)
+        w = cur[0][k:k + na]
+        w[...] = precondition(r[active])
         w -= (w @ bx.T) @ x      # M-orthogonal to the current Ritz vectors
-        basis = [(x, ax, bx), (w, stiff(w), mass(w))]
-        if p is not None:
-            basis.append(tuple(block[active] for block in p))
-        s, as_, bs = (np.concatenate(blocks) for blocks in zip(*basis))
-        vals, coef = _ritz(s @ as_.T, s @ bs.T, len(x))
-        # the new Ritz vectors, and their part outside the old ones
-        x, ax, bx = (coef.T @ block for block in (s, as_, bs))
-        p = tuple(coef[len(x):].T @ block[len(x):] for block in (s, as_, bs))
+        stiff(w, out=cur[1][k:k + na])
+        mass(w, out=cur[2][k:k + na])
+        used = k + na
+        if has_p:
+            for block in cur:
+                block[used:used + na] = block[2 * k:][active]
+            used += na
 
 
 def _shift_invert(problem: DiscreteEigenproblem, m: int):
@@ -611,12 +636,14 @@ def gap_slope(direction, t_values, grid_n: int) -> GapSlopeResult:
     """Richardson-extrapolated slope of the gap (Gamma(t) - Gamma(0)) / t,
     each gap solved on a grid_n x grid_n grid.
 
-    t_values must be positive and decreasing. The second eigenvalue at t = 0
-    is discretely split (multiplicity 2 in the continuum); the baseline uses
-    the Rayleigh-weighted combination of the split pair selected by the
-    second eigenvector at the smallest t, which removes the O(split/t) bias
-    the plain minimum baseline would leave behind. The round factors of the
-    grid (start vectors and preconditioner) serve every t.
+    t_values must be positive and decreasing. Every solve converges the
+    _GAP_MODES = 3 pairs the gap uses: lambda_1 and the lambda_2 pair. The
+    second eigenvalue at t = 0 is discretely split (multiplicity 2 in the
+    continuum); the baseline uses the Rayleigh-weighted combination of the
+    split pair (indices 1 and 2) selected by the second eigenvector at the
+    smallest t, which removes the O(split/t) bias the plain minimum baseline
+    would leave behind. The round factors of the grid (start vectors and
+    preconditioner) serve every t.
     """
     ts = [float(t) for t in t_values]
     if not (ts and all(t > 0 for t in ts) and all(t1 > t2 for t1, t2 in zip(ts, ts[1:]))):

@@ -192,7 +192,11 @@ def _radial_values(spec, mode: ModeIndex, r):
     if isinstance(spec, TriangleSpec):
         # slope of P in x = cos(r) at the r = pi/2 edge; nonzero because the
         # radial factor vanishes there and solves a second-order ODE
-        vals = vals / legendre_p_dx(params.degree, params.order, 0.0)
+        slope = legendre_p_dx(params.degree, params.order, 0.0)
+        if slope == 0.0 or not math.isfinite(slope):
+            raise DomainError(f"radial scale P'(0) = {slope} of mode ({mode.k}, {mode.j}) "
+                              f"at beta = {spec.beta} is zero or not finite")
+        vals = vals / slope
     return vals
 
 
@@ -203,7 +207,8 @@ def eigenfunction_eval(spec, mode: ModeIndex, r: float, theta: float) -> float:
     scaled to unit slope in cos(r) at the r = pi/2 edge, so for beta = pi/2
     the three lowest modes reduce to the plain trigonometric forms
     sin^2(r)cos(r)sin(2 theta), (3cos^5 - 4cos^3 + cos)(r)sin(2 theta) and
-    cos(r)sin^4(r)sin(4 theta).
+    cos(r)sin^4(r)sin(4 theta). On thin triangles that scale underflows to
+    0 (beta = 0.019, mode (1, 0)), and DomainError is raised.
     """
     if not (0.0 <= theta <= spec.beta) or not (0.0 <= r <= _r_max(spec)):
         raise DomainError(
@@ -218,6 +223,8 @@ def normalization_constant(spec, mode: ModeIndex) -> float:
 
     The norm integral (weight sin r dr dtheta) is evaluated with separated
     _NORM_NODES-point Gauss-Legendre rules and checked against half as many.
+    A norm that underflows to 0, as on thin lunes (beta = 0.03, mode (1, 0)),
+    raises DomainError.
     """
 
     def norm_sq(n):
@@ -229,6 +236,9 @@ def normalization_constant(spec, mode: ModeIndex) -> float:
         return float(np.sum(rw * rad**2 * np.sin(rq)) * np.sum(tw * ang**2))
 
     full = norm_sq(_NORM_NODES)
+    if not (full > 0.0 and math.isfinite(full)):
+        raise DomainError(f"squared norm {full} of mode ({mode.k}, {mode.j}) "
+                          f"at beta = {spec.beta} is zero or not finite")
     half = norm_sq(_NORM_NODES // 2)
     if abs(full - half) > 1e-9 * abs(full):
         raise ConvergenceError(

@@ -1,4 +1,5 @@
 """Command-line interface tests: payloads, round-trips, determinism, exit codes."""
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,7 @@ import math
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -274,6 +276,8 @@ def test_gap_slope_bad_t_list(capsys):
     ["variation", "--a", "1", "--b", "0", "--z-steps", "11"],
     ["verify-appendix"],
     ["variation", "--z-steps", "13", "--b-steps", "5"],
+    ["variation", "--z-steps", "61", "--b-steps", "21"],
+    ["variation", "--b", "0.4", "--z-steps", "61"],
     ["solve", "--a", "0.6", "--b", "0.8", "--t", "0.05", "--grid-n", "20"],
     ["gap-slope", "--a", "1", "--b", "0", "--grid-n", "16"],
 ])
@@ -296,6 +300,31 @@ def test_json_csv_payloads_identical(capsys, argv):
     for row in payload["rows"]:
         writer.writerow([cell(v) for v in row.values()])
     assert out_csv == reference.getvalue()
+
+
+def test_variation_csv_is_rendered_without_a_row_list():
+    # the CSV goes out in one block of lines per z: the traced peak stays
+    # below twice the bytes written, where a list of row tuples and their
+    # lines took six times as much
+    class Sink:
+        written = 0
+
+        def write(self, text):
+            self.written += len(text)
+
+    argv = ["variation", "--z-steps", "181", "--b-steps", "51"]
+    with contextlib.redirect_stdout(Sink()):
+        main(argv)   # imports and caches outside the traced run
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.written > 181 * 51 * 40
+    assert peak <= 2 * sink.written
 
 
 def test_byte_identical_reruns(capsys):

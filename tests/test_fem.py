@@ -3,6 +3,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,44 @@ def test_lobpcg_bitwise_across_processes():
                          text=True, check=True)
     assert out.stdout.split() == ([float(x).hex() for x in vals]
                                   + [hashlib.sha256(vecs.tobytes()).hexdigest()])
+
+
+def test_lobpcg_basis_stays_in_preallocated_buffers():
+    # the basis [x | w | p] and its K- and M-images fill two sets of three
+    # (3k, n) buffers, 18 blocks of k n doubles, and the preconditioner adds
+    # a few more; concatenating a fresh basis every iteration peaked at 31
+    problem = assemble(DeformationParams(0.6, 0.8, 0.05), 64)
+    reference = fem._round_factors(64)
+    k = reference.guard_block(4)
+    start = np.ascontiguousarray(reference.eigenpairs(k)[1].T)
+    first = fem._lobpcg(problem, start, reference.solve, 4)   # fills the caches
+    tracemalloc.start()
+    try:
+        vals, vecs = fem._lobpcg(problem, start, reference.solve, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k == 6
+    assert np.array_equal(vals, first[0]) and np.array_equal(vecs, first[1])
+    assert peak <= 25 * k * problem.num_dof * 8
+
+
+def test_gap_solves_converge_three_pairs(monkeypatch):
+    # lambda_1 and the split lambda_2 pair, without the t = 0 triple above them
+    rows = []
+    lobpcg = fem._lobpcg
+    monkeypatch.setattr(fem, "_lobpcg",
+                        lambda problem, start, *args: rows.append(len(start))
+                        or lobpcg(problem, start, *args))
+    direction, ts, n = (0.6, 0.8), [0.02, 0.01, 0.005], 24
+    result = gap_slope(direction, ts, n)
+    assert rows == [3, 3, 3]
+    for t, got in zip(ts, result.gaps):
+        ref_vals, _ = _dense_eigh(assemble(DeformationParams(*direction, t), n), 3)
+        assert abs(got - (ref_vals[1] - ref_vals[0])) <= 1e-10 * got
+    rows.clear()
+    numeric_gap(DeformationParams(*direction, 0.05), n)
+    assert rows == [3]
 
 
 def test_neville_extrapolation_linear_exact():

@@ -1,10 +1,11 @@
 """Tests for the closed-form spectra, gaps, eigenfunctions and normalization."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from spheregap.errors import DomainError
+from spheregap.errors import ConvergenceError, DomainError
 from spheregap.quadrature import gauss_legendre
 from spheregap.spectra import (
     LuneSpec,
@@ -214,6 +215,28 @@ def test_eigenfunction_domain_error():
         eigenfunction_eval(TriangleSpec(0.01), ModeIndex(1, 0), 0.5, 0.001)
     with pytest.raises(DomainError, match="overflows"):
         normalization_constant(LuneSpec(0.01), ModeIndex(1, 0))
+
+
+def test_underflowing_thin_domains_raise_domain_error():
+    # just above the overflow range the triangle's radial scale P'(0) and the
+    # lune's squared norm underflow to 0, with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="radial scale"):
+            eigenfunction_eval(TriangleSpec(0.019), ModeIndex(1, 0), 0.5, 0.0095)
+        with pytest.raises(DomainError, match="radial scale"):
+            normalization_constant(TriangleSpec(0.019), ModeIndex(1, 0))
+        for beta in (0.019, 0.03):
+            with pytest.raises(DomainError, match="squared norm"):
+                normalization_constant(LuneSpec(beta), ModeIndex(1, 0))
+    # a norm that is finite but unsettled stays a ConvergenceError, as for the
+    # thin modes that lose digits in the Legendre series
+    for spec, mode in ((LuneSpec(0.05), ModeIndex(1, 0)),
+                       (TriangleSpec(0.75), ModeIndex(2, 3)), (TriangleSpec(0.75), ModeIndex(3, 2)),
+                       (TriangleSpec(0.75), ModeIndex(3, 3)), (LuneSpec(0.75), ModeIndex(3, 3)),
+                       (TriangleSpec(1.0), ModeIndex(3, 3))):
+        with pytest.raises(ConvergenceError):
+            normalization_constant(spec, mode)
 
 
 def _fd_sphere_laplacian(spec, mode, r, theta, h=1e-4):
