@@ -50,12 +50,11 @@ from .spectra import (
     SpectrumEntry,
     TriangleSpec,
     eigenfunction_eval,
+    eigenvalue,
     gap,
     gap_closed_form,
-    lune_eigenvalue,
     normalization_constant,
     spectrum,
-    triangle_eigenvalue,
 )
 from .variation import (
     BilinearTermTable,

@@ -11,6 +11,7 @@ import json
 import math
 import sys
 
+from . import spectra
 from .errors import SphereGapError
 
 
@@ -21,6 +22,9 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+
+# the spec class of each --domain value
+_DOMAINS = {"lune": spectra.LuneSpec, "triangle": spectra.TriangleSpec}
 
 # a float CSV cell: 17 significant digits
 _FLOAT = "%.17g"
@@ -74,19 +78,11 @@ def _resolve_beta(args, name: str = "beta") -> float:
     return plain if plain is not None else times_pi * math.pi
 
 
-def _domain_spec(domain: str, beta: float):
-    from .spectra import LuneSpec, TriangleSpec
-
-    return LuneSpec(beta) if domain == "lune" else TriangleSpec(beta)
-
-
 def _cmd_spectrum(args) -> int:
-    from . import spectra
-
     if args.count < 1:
         raise ValueError("--count must be >= 1")
     beta = _resolve_beta(args)
-    spec = _domain_spec(args.domain, beta)
+    spec = _DOMAINS[args.domain](beta)
     entries = spectra.spectrum(spec, args.count)
     rows = [
         (entry.eigenvalue, len(entry.modes),
@@ -100,8 +96,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_gap_curve(args) -> int:
-    from . import spectra
-
     beta_min = _resolve_beta(args, "beta_min")
     beta_max = _resolve_beta(args, "beta_max")
     if not (0.0 < beta_min < beta_max < 2.0 * math.pi):
@@ -111,7 +105,7 @@ def _cmd_gap_curve(args) -> int:
     rows = []
     for i in range(args.steps + 1):
         beta = beta_min + (beta_max - beta_min) * i / args.steps
-        spec = _domain_spec(args.domain, beta)
+        spec = _DOMAINS[args.domain](beta)
         rows.append((beta, spectra.gap(spec), spectra.gap_regime(spec)))
     _emit(args, "gap-curve",
           {"domain": args.domain, "beta_min": beta_min, "beta_max": beta_max,
@@ -209,14 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("spectrum", help="closed-form Dirichlet spectrum")
-    p.add_argument("--domain", choices=("lune", "triangle"), required=True)
+    p.add_argument("--domain", choices=tuple(_DOMAINS), required=True)
     _add_beta(p)
     p.add_argument("--count", type=int, default=5, help="distinct eigenvalues to list")
     _add_format(p)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("gap-curve", help="fundamental gap over a range of angles")
-    p.add_argument("--domain", choices=("lune", "triangle"), required=True)
+    p.add_argument("--domain", choices=tuple(_DOMAINS), required=True)
     _add_beta(p, "beta_min")
     _add_beta(p, "beta_max")
     p.add_argument("--steps", type=int, default=100, help="number of intervals")

@@ -1,9 +1,12 @@
 """Bilinear finite elements for the Laplace-Beltrami Dirichlet problem.
 
-The deformed triangles are solved on the fixed coordinate rectangle with the
-exact pullback metric: the weak form only needs the coefficient fields
-(g^ij sqrt(det g)) and sqrt(det g) supplied by the geometry module, so no
-metric derivatives enter. Q1 tensor-product elements on a uniform grid with
+assemble takes the same domain objects as the closed-form spectra: a
+LuneSpec or TriangleSpec of any beta, under the round metric, or the
+DeformationParams of a deformed triangle T(t). The deformed triangles are
+solved on the fixed coordinate rectangle with the exact pullback metric:
+the weak form only needs the coefficient fields (g^ij sqrt(det g)) and
+sqrt(det g) supplied by the geometry module, so no metric derivatives
+enter. Q1 tensor-product elements on a uniform grid with
 a 3x3 Gauss rule per cell; Dirichlet nodes are eliminated on the edges
 theta = 0, theta = beta and (for triangles) r = r_max, while pole edges keep
 their nodes: the measure sqrt(det g) vanishes there, which makes the
@@ -42,9 +45,13 @@ import numpy as np
 
 from .errors import AssemblyError, ConvergenceError
 from .geometry import DeformationParams, metric_coefficients
+from .spectra import LuneSpec, TriangleSpec
 
 _GAUSS3_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 _GAUSS3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+
+# the undeformed (t = 0) metric, the round metric of the sphere
+_ROUND = DeformationParams(1.0, 0.0, 0.0)
 
 # eigenpairs per gap solve: lambda_1 (12 at t = 0) and the split lambda_2
 # pair (30). The next t = 0 eigenvalue, the triple 56, lies far enough above
@@ -381,28 +388,30 @@ def _stencil(loc, n, n_r) -> StencilMatrix:
     return StencilMatrix(coef)
 
 
-def assemble(params: DeformationParams, grid_n: int, *,
-             beta: float = math.pi / 2, domain: str = "triangle") -> DiscreteEigenproblem:
+def assemble(domain, grid_n: int) -> DiscreteEigenproblem:
     """Assemble the generalized eigenproblem K v = lambda M v on a grid of
     grid_n x grid_n nodes, grid_n an integer >= 8.
 
-    domain "triangle" uses the rectangle [0, r_max] x [0, beta] with
-    r_max = pi/2 and a Dirichlet edge at r = r_max; domain "lune" uses
-    r_max = pi with pole edges at both r = 0 and r = pi. Deformations
-    (t > 0) are defined only for the beta = pi/2 triangle.
+    domain is a LuneSpec or TriangleSpec under the round metric, or the
+    DeformationParams of T(t), the deformed beta = pi/2 triangle. The grid
+    spans the rectangle [0, r_max] x [0, beta]; the triangle has a Dirichlet
+    edge at r = r_max = pi/2, the lune pole edges at r = 0 and r = pi.
+    Any other domain raises TypeError.
     """
     # numbers.Integral covers int and the numpy integer types
     if not isinstance(grid_n, numbers.Integral) or grid_n < 8:
         raise ValueError(f"grid_n must be an integer >= 8, got {grid_n!r}")
-    if domain not in ("triangle", "lune"):
-        raise ValueError(f"unknown domain {domain!r}")
-    if params.t > 0 and (domain != "triangle" or abs(beta - math.pi / 2) > 1e-15):
-        raise ValueError("deformed metrics are defined on the beta = pi/2 triangle only")
-    r_max = math.pi / 2 if domain == "triangle" else math.pi
+    if isinstance(domain, DeformationParams):
+        params, spec = domain, TriangleSpec(math.pi / 2)
+    elif isinstance(domain, (LuneSpec, TriangleSpec)):
+        params, spec = _ROUND, domain
+    else:
+        raise TypeError("domain must be a LuneSpec, TriangleSpec or DeformationParams, "
+                        f"got {type(domain).__name__}")
     n = int(grid_n)
-    n_r = n - 1 if domain == "triangle" else n
-    hx = r_max / (n - 1)
-    hy = beta / (n - 1)
+    n_r = n if isinstance(spec, LuneSpec) else n - 1
+    hx = spec.r_max / (n - 1)
+    hy = spec.beta / (n - 1)
     wq, phi, dphx, dphy = _reference_basis()
 
     nc = n - 1
@@ -442,8 +451,7 @@ def _round_factors(n: int) -> _SeparableFactors:
     h = (math.pi / 2) / (n - 1)
     rq = (np.arange(n - 1)[:, None, None, None] + _GAUSS3_NODES[:, None]) * h
     # the round fields do not depend on theta: one sample serves every cell
-    fields = metric_coefficients(DeformationParams(1.0, 0.0, 0.0), rq,
-                                 np.full((1, 1, 1), _GAUSS3_NODES[0] * h))
+    fields = metric_coefficients(_ROUND, rq, np.full((1, 1, 1), _GAUSS3_NODES[0] * h))
     return _radial_factors(fields, n - 1, h, h, n - 2)
 
 

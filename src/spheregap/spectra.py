@@ -28,8 +28,10 @@ _NORM_NODES = 200
 
 
 @dataclass(frozen=True)
-class LuneSpec:
-    """Spherical lune with opening angle beta in (0, 2*pi)."""
+class _DomainSpec:
+    """Domain 0 <= r <= r_max, 0 <= theta <= beta, beta in (0, 2*pi). A
+    subclass sets r_max, the (beta, label) crossover of the gap regimes
+    (second eigenvalue mode (1, 1) up to it, (2, 0) above) and degree(mode)."""
 
     beta: float
 
@@ -39,14 +41,28 @@ class LuneSpec:
 
 
 @dataclass(frozen=True)
-class TriangleSpec:
-    """Half-lune triangle bounded by theta = 0, theta = beta, r = pi/2."""
+class LuneSpec(_DomainSpec):
+    """Spherical lune with opening angle beta in (0, 2*pi)."""
 
-    beta: float
+    r_max = math.pi
+    crossover = (math.pi, "pi")
 
-    def __post_init__(self):
-        if not 0.0 < self.beta < 2.0 * math.pi:
-            raise ValueError(f"beta must lie in (0, 2*pi), got {self.beta}")
+    def degree(self, mode: "ModeIndex") -> float:
+        """Legendre degree k*pi/beta + j of the radial factor."""
+        return mode.k * math.pi / self.beta + mode.j
+
+
+@dataclass(frozen=True)
+class TriangleSpec(_DomainSpec):
+    """Half-lune triangle bounded by theta = 0, theta = beta, r = pi/2: its
+    modes are the lune modes odd about the equator r = pi/2."""
+
+    r_max = math.pi / 2
+    crossover = (math.pi / 2, "pi/2")
+
+    def degree(self, mode: "ModeIndex") -> float:
+        """Legendre degree k*pi/beta + 2j + 1 of the radial factor."""
+        return mode.k * math.pi / self.beta + 2 * mode.j + 1
 
 
 @dataclass(frozen=True)
@@ -74,24 +90,10 @@ class SpectrumEntry:
     modes: tuple
 
 
-def lune_eigenvalue(spec: LuneSpec, mode: ModeIndex) -> float:
-    """(k*pi/beta + j)(k*pi/beta + j + 1)."""
-    x = mode.k * math.pi / spec.beta + mode.j
-    return x * (x + 1.0)
-
-
-def triangle_eigenvalue(spec: TriangleSpec, mode: ModeIndex) -> float:
-    """(k*pi/beta + 2j + 1)(k*pi/beta + 2j + 2)."""
-    x = mode.k * math.pi / spec.beta + 2 * mode.j + 1
-    return x * (x + 1.0)
-
-
 def eigenvalue(spec, mode: ModeIndex) -> float:
-    if isinstance(spec, LuneSpec):
-        return lune_eigenvalue(spec, mode)
-    if isinstance(spec, TriangleSpec):
-        return triangle_eigenvalue(spec, mode)
-    raise TypeError(f"unsupported domain spec {type(spec).__name__}")
+    """l(l+1) with l = spec.degree(mode)."""
+    x = spec.degree(mode)
+    return x * (x + 1.0)
 
 
 def spectrum(spec, count: int) -> list:
@@ -164,21 +166,13 @@ def gap_closed_form(spec) -> float:
 
 def gap_regime(spec) -> str:
     """Which branch of the piecewise gap formula is active."""
-    if isinstance(spec, LuneSpec):
-        return "beta>pi" if spec.beta > math.pi else "beta<=pi"
-    return "beta>pi/2" if spec.beta > math.pi / 2 else "beta<=pi/2"
+    edge, label = spec.crossover
+    return f"beta>{label}" if spec.beta > edge else f"beta<={label}"
 
 
 def legendre_params_for(spec, mode: ModeIndex) -> LegendreParams:
     """Degree and order of the radial factor of the given mode."""
-    x = mode.k * math.pi / spec.beta
-    if isinstance(spec, LuneSpec):
-        return LegendreParams(x + mode.j, -x)
-    return LegendreParams(x + 2 * mode.j + 1, -x)
-
-
-def _r_max(spec) -> float:
-    return math.pi if isinstance(spec, LuneSpec) else math.pi / 2
+    return LegendreParams(spec.degree(mode), -(mode.k * math.pi / spec.beta))
 
 
 def _radial_values(spec, mode: ModeIndex, r):
@@ -210,7 +204,7 @@ def eigenfunction_eval(spec, mode: ModeIndex, r: float, theta: float) -> float:
     cos(r)sin^4(r)sin(4 theta). On thin triangles that scale underflows to
     0 (beta = 0.019, mode (1, 0)), and DomainError is raised.
     """
-    if not (0.0 <= theta <= spec.beta) or not (0.0 <= r <= _r_max(spec)):
+    if not (0.0 <= theta <= spec.beta) or not (0.0 <= r <= spec.r_max):
         raise DomainError(
             f"point (r={r}, theta={theta}) outside the coordinate domain"
         )
@@ -228,7 +222,7 @@ def normalization_constant(spec, mode: ModeIndex) -> float:
     """
 
     def norm_sq(n):
-        rq, rw = gauss_legendre(0.0, _r_max(spec), n)
+        rq, rw = gauss_legendre(0.0, spec.r_max, n)
         tq, tw = gauss_legendre(0.0, spec.beta, n)
         rad = _radial_values(spec, mode, rq)
         x = mode.k * math.pi / spec.beta

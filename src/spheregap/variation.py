@@ -183,26 +183,25 @@ def _direction_coefficients():
     return out
 
 
-def lambda1_dot(direction) -> float:
-    """Derivative of the first eigenvalue at t = 0: -<L1 u1, u1> = 28(a+b)/pi."""
+def _pairing_totals(direction) -> dict:
+    """a * c_a + b * c_b of every pairing total of _direction_coefficients,
+    for a direction (a, b) or broadcast arrays of them; raises ValueError
+    unless every (a, b) passes geometry.check_direction."""
     a, b = direction
     check_direction(a, b)
-    ca, cb = _direction_coefficients()[("u1", "u1")]
-    return -(a * ca + b * cb)
+    return {pair: a * ca + b * cb for pair, (ca, cb) in _direction_coefficients().items()}
+
+
+def lambda1_dot(direction) -> float:
+    """Derivative of the first eigenvalue at t = 0: -<L1 u1, u1> = 28(a+b)/pi."""
+    return -_pairing_totals(direction)[("u1", "u1")]
 
 
 def second_eigenvalue_form(direction) -> np.ndarray:
     """Quadratic form q -> -<L1 u2, u2> on the second eigenspace, as a 2x2 matrix."""
-    a, b = direction
-    check_direction(a, b)
-    coef = _direction_coefficients()
-    q = np.empty((2, 2))
-    q[0, 0] = -(a * coef[("u2_1", "u2_1")][0] + b * coef[("u2_1", "u2_1")][1])
-    q[1, 1] = -(a * coef[("u2_2", "u2_2")][0] + b * coef[("u2_2", "u2_2")][1])
-    off = -(a * (coef[("u2_1", "u2_2")][0] + coef[("u2_2", "u2_1")][0])
-            + b * (coef[("u2_1", "u2_2")][1] + coef[("u2_2", "u2_1")][1])) / 2.0
-    q[0, 1] = q[1, 0] = off
-    return q
+    total = _pairing_totals(direction)
+    off = -(total[("u2_1", "u2_2")] + total[("u2_2", "u2_1")]) / 2.0
+    return np.array([[-total[("u2_1", "u2_1")], off], [off, -total[("u2_2", "u2_2")]]])
 
 
 def gap_variation_grid(z, direction) -> np.ndarray:
@@ -212,18 +211,12 @@ def gap_variation_grid(z, direction) -> np.ndarray:
     + sin(z) u2_2; every (a, b) must pass geometry.check_direction. Pass
     z[:, None] against 1D a and b for the (z, b) grid.
     """
-    a, b = (np.asarray(c, dtype=float) for c in direction)
-    check_direction(a, b)
-    coef = _direction_coefficients()
-
-    def total(pair):
-        return a * coef[pair][0] + b * coef[pair][1]
-
+    total = _pairing_totals([np.asarray(c, dtype=float) for c in direction])
     p, q = np.cos(z), np.sin(z)
-    u2_part = (p * p * total(("u2_1", "u2_1"))
-               + p * q * (total(("u2_1", "u2_2")) + total(("u2_2", "u2_1")))
-               + q * q * total(("u2_2", "u2_2")))
-    return -u2_part + total(("u1", "u1"))
+    u2_part = (p * p * total[("u2_1", "u2_1")]
+               + p * q * (total[("u2_1", "u2_2")] + total[("u2_2", "u2_1")])
+               + q * q * total[("u2_2", "u2_2")])
+    return -u2_part + total[("u1", "u1")]
 
 
 def gap_variation_I(z: float, direction) -> float:

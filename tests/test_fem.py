@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import spheregap.fem as fem
 from spheregap.errors import ConvergenceError
 from spheregap.fem import assemble, gap_slope, numeric_gap, solve_smallest
 from spheregap.geometry import DeformationParams, metric_coefficients
-from spheregap.spectra import TriangleSpec, gap as closed_gap
+from spheregap.spectra import LuneSpec, TriangleSpec, gap as closed_gap, gap_closed_form
 from spheregap.variation import remark_gap_curve
 
 PI = math.pi
@@ -168,7 +169,7 @@ def test_equilateral_eigenvalues():
 
 def test_general_triangle_against_closed_form():
     beta = PI / 4
-    problem = assemble(DeformationParams(0.0, 1.0, 0.0), 48, beta=beta)
+    problem = assemble(TriangleSpec(beta), 48)
     vals, _ = solve_smallest(problem, 1)
     exact = 5.0 * 6.0  # first closed-form eigenvalue at beta = pi/4
     assert abs(vals[0] - exact) < 0.01 * exact
@@ -176,7 +177,7 @@ def test_general_triangle_against_closed_form():
 
 def test_lune_domain_and_monotonicity():
     grid_n = 48
-    lune = assemble(DeformationParams(0.0, 1.0, 0.0), grid_n, beta=PI / 2, domain="lune")
+    lune = assemble(LuneSpec(PI / 2), grid_n)
     vals_lune, _ = solve_smallest(lune, 3)
     assert abs(vals_lune[0] - 6.0) < 0.01 * 6.0
     tri = assemble(DeformationParams(0.0, 1.0, 0.0), grid_n)
@@ -236,17 +237,41 @@ def test_gap_slope_validation():
 
 def test_assemble_validation():
     grid_n = 16
-    with pytest.raises(ValueError):
-        assemble(DeformationParams(0.0, 1.0, 0.1), grid_n, domain="lune")
-    with pytest.raises(ValueError):
-        assemble(DeformationParams(0.0, 1.0, 0.1), grid_n, beta=1.0)
-    with pytest.raises(ValueError):
-        assemble(DeformationParams(0.0, 1.0, 0.0), grid_n, domain="disk")
+    with pytest.raises(TypeError, match="domain must be"):
+        assemble("disk", grid_n)
     problem = assemble(DeformationParams(0.0, 1.0, 0.0), grid_n)
     with pytest.raises(ValueError):
         solve_smallest(problem, problem.num_dof + 1)
     with pytest.raises(ValueError, match="m must be >= 1"):
         solve_smallest(problem, 0)
+
+
+@pytest.mark.parametrize("spec_type", [LuneSpec, TriangleSpec])
+@pytest.mark.parametrize("beta", [7.0, 0.0, math.nan, -1.0])
+def test_assemble_rejects_beta_outside_the_open_interval(spec_type, beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="beta must lie in"):
+            assemble(spec_type(beta), 12)
+
+
+# beta / pi: thin domains, both sides of the lune and triangle crossovers
+# (beta = pi and pi/2), and a nearly full lune
+@pytest.mark.parametrize("spec_type", [LuneSpec, TriangleSpec])
+@pytest.mark.parametrize("beta_pi", [0.05, 0.5, 0.99, 1.01, 1.9])
+def test_fem_gap_matches_closed_form_across_beta(spec_type, beta_pi):
+    # the paper's first result, lune and triangle gaps across beta with the
+    # blow-up as beta -> 0, checked by the FEM on the same spec object.
+    # Observed: Richardson error <= 2.8e-5 (lune, 0.05 pi), ratios 3.84-4.07
+    spec = spec_type(beta_pi * PI)
+    exact = gap_closed_form(spec)
+    errors = {}
+    for n in (64, 128):
+        vals, _ = solve_smallest(assemble(spec, n), 3)
+        errors[n] = float(vals[1] - vals[0]) - exact
+    richardson = (4.0 * errors[128] - errors[64]) / 3.0
+    assert abs(richardson) <= 1e-4 * exact
+    assert 3.5 <= errors[64] / errors[128] <= 4.5
 
 
 # an off-axis deformation at t > 0 is not separable, so it runs LOBPCG
@@ -421,18 +446,17 @@ def test_assembly_matches_pointwise_sampling(n, direction):
 
 _SEPARABLE_CASES = {
     # thin enough that the four smallest eigenvalues share theta mode 1
-    "triangle-eighth": (DeformationParams(0.0, 1.0, 0.0), PI / 8, "triangle"),
-    "triangle-quarter": (DeformationParams(0.0, 1.0, 0.0), PI / 4, "triangle"),
-    "triangle-half": (DeformationParams(0.0, 1.0, 0.0), PI / 2, "triangle"),
-    "triangle-three-quarters": (DeformationParams(0.0, 1.0, 0.0), 3 * PI / 4, "triangle"),
-    "lune-half": (DeformationParams(0.0, 1.0, 0.0), PI / 2, "lune"),
-    "axis-deformed": (DeformationParams(1.0, 0.0, 0.05), PI / 2, "triangle"),
+    "triangle-eighth": TriangleSpec(PI / 8),
+    "triangle-quarter": TriangleSpec(PI / 4),
+    "triangle-half": TriangleSpec(PI / 2),
+    "triangle-three-quarters": TriangleSpec(3 * PI / 4),
+    "lune-half": LuneSpec(PI / 2),
+    "axis-deformed": DeformationParams(1.0, 0.0, 0.05),
 }
 
 
 def _separable_problem(case, n=10):
-    params, beta, domain = _SEPARABLE_CASES[case]
-    problem = assemble(params, n, beta=beta, domain=domain)
+    problem = assemble(_SEPARABLE_CASES[case], n)
     assert problem._separable is not None
     return problem
 

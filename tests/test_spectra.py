@@ -17,10 +17,8 @@ from spheregap.spectra import (
     gap_closed_form,
     gap_regime,
     legendre_params_for,
-    lune_eigenvalue,
     normalization_constant,
     spectrum,
-    triangle_eigenvalue,
 )
 
 PI = math.pi
@@ -30,20 +28,20 @@ PI = math.pi
 
 
 def test_lune_eigenvalue_examples():
-    assert lune_eigenvalue(LuneSpec(PI), ModeIndex(1, 0)) == 2.0
-    assert lune_eigenvalue(LuneSpec(PI / 2), ModeIndex(1, 1)) == 12.0
+    assert eigenvalue(LuneSpec(PI), ModeIndex(1, 0)) == 2.0
+    assert eigenvalue(LuneSpec(PI / 2), ModeIndex(1, 1)) == 12.0
     # beta = 2*pi itself is outside the open angle interval; the formula
     # limit (1/2)(3/2) = 3/4 is approached from inside
-    near = lune_eigenvalue(LuneSpec(2.0 * PI * (1.0 - 1e-12)), ModeIndex(1, 0))
+    near = eigenvalue(LuneSpec(2.0 * PI * (1.0 - 1e-12)), ModeIndex(1, 0))
     assert abs(near - 0.75) < 1e-10
 
 
 def test_triangle_eigenvalue_examples():
     tri = TriangleSpec(PI / 2)
-    assert triangle_eigenvalue(tri, ModeIndex(1, 0)) == 12.0
-    assert triangle_eigenvalue(tri, ModeIndex(1, 1)) == 30.0
-    assert triangle_eigenvalue(tri, ModeIndex(2, 0)) == 30.0
-    assert triangle_eigenvalue(TriangleSpec(PI), ModeIndex(1, 0)) == 6.0
+    assert eigenvalue(tri, ModeIndex(1, 0)) == 12.0
+    assert eigenvalue(tri, ModeIndex(1, 1)) == 30.0
+    assert eigenvalue(tri, ModeIndex(2, 0)) == 30.0
+    assert eigenvalue(TriangleSpec(PI), ModeIndex(1, 0)) == 6.0
 
 
 def test_spec_validation():
@@ -61,7 +59,7 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="must be integers"):
             ModeIndex(k, j)
     mode = ModeIndex(np.int64(2), np.int32(1))
-    assert lune_eigenvalue(LuneSpec(PI / 2), mode) == lune_eigenvalue(LuneSpec(PI / 2), ModeIndex(2, 1))
+    assert eigenvalue(LuneSpec(PI / 2), mode) == eigenvalue(LuneSpec(PI / 2), ModeIndex(2, 1))
 
 
 # ------------------------------------------------------------ spectrum

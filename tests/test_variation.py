@@ -141,6 +141,18 @@ def test_second_eigenvalue_form_eigenvalues():
 # ------------------------------------------------------------ I(z, b)
 
 
+def test_gap_variation_is_second_form_minus_lambda1_dot():
+    # I(z, (a, b)) = v^T Q v - lambda1' with v = (cos z, sin z)
+    rng = np.random.default_rng(83)
+    for _ in range(200):
+        z = float(rng.uniform(0.0, 2.0 * PI))
+        b = float(rng.uniform(0.0, 1.0))
+        direction = (math.sqrt(1.0 - b * b), b)
+        v = np.array([math.cos(z), math.sin(z)])
+        expected = v @ second_eigenvalue_form(direction) @ v - lambda1_dot(direction)
+        assert abs(gap_variation_I(z, direction) - expected) <= 1e-13
+
+
 def test_gap_variation_matches_closed_form():
     rng = np.random.default_rng(79)
     for _ in range(200):
