@@ -26,10 +26,11 @@ stiffness K0 is spectrally equivalent to K(t) uniformly in h. Block LOBPCG
 (Knyazev 2001) solves it, started from the exact t = 0 eigenvectors and
 preconditioned by the exact inverse of K0: a sine transform in theta, one
 tridiagonal radial solve per theta mode, and the inverse transform. Near
-the largest t of a direction K0 preconditions K(t) poorly; when LOBPCG
-reaches its iteration cap, ARPACK in shift-invert mode with a sparse LU of
-K(t) takes over. Every answer passes the same residual check on the 2D K
-and M.
+the largest t of a direction K0 preconditions K(t) poorly. LOBPCG stops
+only inside the residual gate; a run that reaches its iteration cap or
+whose Rayleigh-Ritz step breaks down hands the problem to ARPACK in
+shift-invert mode with a sparse LU of K(t). Every answer passes the same
+residual check on the 2D K and M.
 
 Independent of the closed-form spectra, this provides numeric eigenvalues
 lambda_i(t), gaps, and finite-difference gap slopes for the deformation
@@ -61,13 +62,10 @@ _GAP_MODES = 3
 # largest ||K v - lambda M v|| / ||M v|| that solve_smallest accepts
 _RESIDUAL_TOL = 1e-6
 # LOBPCG stops once its m leading pairs have ||K v - lambda M v|| / ||M v||
-# at or below _RESIDUAL_TOL clipped to [_LOBPCG_RTOL_MIN, _LOBPCG_RTOL]
-# |lambda|. The upper end sets the accuracy; the lower end keeps the
-# iteration above its rounding floor (8e-12 |lambda| at n = 256), where the
-# updated K x and M x drift from the true products and the Rayleigh-Ritz
-# step feeds the drift back until the residual grows again.
+# at or below min(_RESIDUAL_TOL, _LOBPCG_RTOL |lambda|), inside the gate.
+# Where the gate lies below the iteration's rounding floor (8e-12 |lambda|
+# at n = 256), LOBPCG reaches its cap and shift-invert answers
 _LOBPCG_RTOL = 1e-9
-_LOBPCG_RTOL_MIN = 1e-10
 # iterations before the shift-invert path takes over. t = 0.05 takes 12 at
 # n = 256 and t = 1 takes 31 at n = 64; 0.8 of the largest t along (0, 1)
 # takes 118 at n = 64, where shift-invert costs about 15 iterations
@@ -481,10 +479,12 @@ def _lobpcg(problem: DiscreteEigenproblem, start: np.ndarray, precondition, m: i
     """m smallest eigenpairs by block LOBPCG from the (k, n) start block.
 
     The m leading pairs must reach ||r|| <= tol ||M v||, with tol
-    _RESIDUAL_TOL clipped to [_LOBPCG_RTOL_MIN, _LOBPCG_RTOL] |lambda|; the
-    rest of the block guards their convergence, and pairs that meet the
-    rule stop taking search directions (soft locking). Returns None when
-    they have not met it after _LOBPCG_MAX_ITER iterations.
+    min(_RESIDUAL_TOL, _LOBPCG_RTOL |lambda|), so a returned pair always
+    passes solve_smallest's gate; the rest of the block guards their
+    convergence, and pairs that meet the rule stop taking search directions
+    (soft locking). Returns None when they have not met it after
+    _LOBPCG_MAX_ITER iterations, or when the Rayleigh-Ritz step breaks down
+    (LinAlgError).
 
     The basis [x | w | p] and its K- and M-images live in two sets of
     preallocated (3k, n) buffers that take turns. In the current set, rows
@@ -503,7 +503,10 @@ def _lobpcg(problem: DiscreteEigenproblem, start: np.ndarray, precondition, m: i
     used = k
     for it in range(_LOBPCG_MAX_ITER + 1):
         s, as_, bs = (block[:used] for block in cur)
-        vals, coef = _ritz(s @ as_.T, s @ bs.T, k)
+        try:
+            vals, coef = _ritz(s @ as_.T, s @ bs.T, k)
+        except np.linalg.LinAlgError:
+            return None
         # the new Ritz vectors, and their part outside the old ones
         for old, new in zip(cur, nxt):
             np.matmul(coef.T, old[:used], out=new[:k])
@@ -516,8 +519,7 @@ def _lobpcg(problem: DiscreteEigenproblem, start: np.ndarray, precondition, m: i
         r = np.multiply(vals[:, None], bx, out=cur[0][k:2 * k])
         np.subtract(ax, r, out=r)
         res = np.linalg.norm(r, axis=1) / np.linalg.norm(bx, axis=1)
-        active = res > np.clip(_RESIDUAL_TOL, _LOBPCG_RTOL_MIN * np.abs(vals),
-                               _LOBPCG_RTOL * np.abs(vals))
+        active = res > np.minimum(_RESIDUAL_TOL, _LOBPCG_RTOL * np.abs(vals))
         if not active[:m].any():
             return vals[:m], x[:m].copy().T
         if it == _LOBPCG_MAX_ITER:
@@ -562,8 +564,10 @@ def _solve_deformed(problem: DiscreteEigenproblem, m: int):
     guard block of the t = 0 cluster of lambda_m, started from the exact
     t = 0 eigenvectors and preconditioned by the exact inverse of K0. The
     dense pencil when that block does not fit three times into the problem;
-    shift-invert ARPACK when LOBPCG reaches its cap, as it does near the
-    largest t of a direction, where K0 no longer preconditions K(t)."""
+    shift-invert ARPACK for every LOBPCG run that does not end inside the
+    residual gate: one that reaches its cap, as it does near the largest t
+    of a direction, where K0 no longer preconditions K(t), or whose
+    Rayleigh-Ritz step breaks down."""
     reference = _round_factors(problem.shape[0])
     block = reference.guard_block(m) if 3 * m <= problem.num_dof else m
     if 3 * block > problem.num_dof:
@@ -581,15 +585,19 @@ def solve_smallest(problem: DiscreteEigenproblem, m: int):
     docstring) is solved exactly, one small radial pencil per theta mode.
     Any other problem runs block LOBPCG preconditioned by the exact inverse
     of the t = 0 stiffness on the same grid, started from the t = 0
-    eigenvectors. When LOBPCG reaches its iteration cap, shift-invert ARPACK
-    with a sparse LU of K solves the problem instead, and when the problem
-    is too small for the block, its dense pencil does. Every answer must
-    have residuals ||K v - lambda M v|| / ||M v|| <= 1e-6 on the 2D K and M,
-    or ConvergenceError is raised with the worst one; when ARPACK does not
+    eigenvectors; it stops only inside the residual gate below. A LOBPCG
+    run that reaches its iteration cap or whose Rayleigh-Ritz step breaks
+    down hands the problem to shift-invert ARPACK with a sparse LU of K,
+    and when the problem is too small for the block, its dense pencil
+    solves it. Every answer must have residuals
+    ||K v - lambda M v|| / ||M v|| <= 1e-6 on the 2D K and M, or
+    ConvergenceError is raised with the worst one; when ARPACK does not
     converge, it carries the worst residual of the pairs ARPACK returned.
-    The bound is absolute, while the top of the discrete spectrum reaches
-    1e5 to 1e7 on moderate grids, so a request for nearly all num_dof pairs
-    can raise ConvergenceError from n = 24 on.
+    The bound is absolute, while lambda reaches 1e5 to 1e8 near the largest
+    t of a direction and the top of the discrete spectrum 1e5 to 1e7 on
+    moderate grids. Shift-invert's own residual can then miss the gate, so
+    such solves, and requests for nearly all num_dof pairs from n = 24 on,
+    can raise ConvergenceError.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

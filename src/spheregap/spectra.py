@@ -99,46 +99,26 @@ def eigenvalue(spec, mode: ModeIndex) -> float:
 def spectrum(spec, count: int) -> list:
     """The `count` smallest distinct eigenvalues, each with its full mode list.
 
-    Both eigenvalue formulas increase strictly in k and in j, so every mode
-    with eigenvalue below the cutoff lies in a bounded index rectangle and
-    the returned mode lists are complete. Modes whose values differ by less
-    than COALESCE_RTOL (relative) are reported as one entry.
+    Both eigenvalue formulas increase strictly in k and in j, so (1, 0) ..
+    (count, 0) are count distinct values, and so are (1, 0) .. (1, count - 1):
+    every mode of the count smallest distinct eigenvalues has k <= count and
+    j < count, and the returned mode lists are complete. Modes whose values
+    differ by less than COALESCE_RTOL (relative) are reported as one entry.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    # cutoff from a generous candidate rectangle
-    probe = sorted(
-        eigenvalue(spec, ModeIndex(k, j))
-        for k in range(1, count + 2)
-        for j in range(0, count + 2)
-    )
-    distinct = [probe[0]]
-    for lam in probe[1:]:
-        if lam - distinct[-1] > COALESCE_RTOL * max(1.0, lam):
-            distinct.append(lam)
-    cutoff = distinct[min(count - 1, len(distinct) - 1)]
-    # complete enumeration below the cutoff
-    found = []
-    k = 1
-    while eigenvalue(spec, ModeIndex(k, 0)) <= cutoff * (1.0 + COALESCE_RTOL):
-        j = 0
-        while True:
-            lam = eigenvalue(spec, ModeIndex(k, j))
-            if lam > cutoff * (1.0 + COALESCE_RTOL):
-                break
-            found.append((lam, ModeIndex(k, j)))
-            j += 1
-        k += 1
-    found.sort(key=lambda item: (item[0], item[1].k, item[1].j))
     entries = []
-    for lam, mode in found:
+    for lam, k, j in sorted((eigenvalue(spec, ModeIndex(k, j)), k, j)
+                            for k in range(1, count + 1) for j in range(count)):
         if entries and lam - entries[-1][0] <= COALESCE_RTOL * max(1.0, lam):
-            entries[-1][1].append(mode)
+            entries[-1][1].append(ModeIndex(k, j))
+        elif len(entries) == count:
+            break
         else:
-            entries.append((lam, [mode]))
+            entries.append((lam, [ModeIndex(k, j)]))
     return [
         SpectrumEntry(lam, tuple(sorted(modes, key=lambda m: (m.k, m.j))))
-        for lam, modes in entries[:count]
+        for lam, modes in entries
     ]
 
 

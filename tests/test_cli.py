@@ -260,6 +260,16 @@ def test_solve_near_the_largest_t(capsys):
     assert float(rows[0][1]) == pytest.approx(465.56385574064251, rel=1e-12)
 
 
+def test_solve_with_eigenvalues_above_1e4(capsys):
+    # lambda_4 = 24338: LOBPCG must stop at the absolute residual gate, which
+    # lies below 1e-9 |lambda| there
+    code, out = _run(capsys, "solve", "--a", "0.8", "--b", "0.6", "--t", "1.8596",
+                     "--grid-n", "16", "--modes", "4")
+    assert code == 0
+    _, _, rows = _parse_csv(out)
+    assert [int(row[0]) for row in rows] == [1, 2, 3, 4]
+
+
 def test_gap_slope_bad_t_list(capsys):
     code, _ = _run(capsys, "gap-slope", "--a", "0", "--b", "1",
                    "--t-list", "0.02,zap", "--grid-n", "24")

@@ -34,6 +34,14 @@ def _dense_eigh(problem, m):
     return vals, vecs
 
 
+def _count_shift_invert(monkeypatch):
+    """A list that gains one entry per call of fem._shift_invert."""
+    calls = []
+    shift_invert = fem._shift_invert
+    monkeypatch.setattr(fem, "_shift_invert", lambda *args: calls.append(1) or shift_invert(*args))
+    return calls
+
+
 def test_grid_n_validation():
     params = DeformationParams(0.0, 1.0, 0.0)
     for grid_n in (4, 7, 16.0, 16.5, "16", None):
@@ -258,7 +266,7 @@ def test_assemble_rejects_beta_outside_the_open_interval(spec_type, beta):
 # beta / pi: thin domains, both sides of the lune and triangle crossovers
 # (beta = pi and pi/2), and a nearly full lune
 @pytest.mark.parametrize("spec_type", [LuneSpec, TriangleSpec])
-@pytest.mark.parametrize("beta_pi", [0.05, 0.5, 0.99, 1.01, 1.9])
+@pytest.mark.parametrize("beta_pi", [0.05, 0.1, 0.5, 0.99, 1.01, 1.9])
 def test_fem_gap_matches_closed_form_across_beta(spec_type, beta_pi):
     # the paper's first result, lune and triangle gaps across beta with the
     # blow-up as beta -> 0, checked by the FEM on the same spec object.
@@ -317,13 +325,26 @@ def test_arpack_failure_reports_reached_residual(monkeypatch, partial):
 def test_iteration_cap_hands_over_to_shift_invert(monkeypatch, cap):
     problem = assemble(DeformationParams(0.6, 0.8, 0.3), 24)
     ref_vals, _ = _dense_eigh(problem, 4)
-    calls = []
-    shift_invert = fem._shift_invert
     monkeypatch.setattr(fem, "_LOBPCG_MAX_ITER", cap)
-    monkeypatch.setattr(fem, "_shift_invert", lambda *args: calls.append(1) or shift_invert(*args))
+    calls = _count_shift_invert(monkeypatch)
     vals, vecs = solve_smallest(problem, 4)
     # t = 0.3 takes more than one iteration and fewer than 50
     assert len(calls) == (cap < 50)
+    assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-10
+    assert np.max(np.abs(vecs.T @ (problem.mass @ vecs) - np.eye(4))) < 1e-10
+
+
+def test_ritz_breakdown_hands_over_to_shift_invert(monkeypatch):
+    problem = assemble(DeformationParams(0.6, 0.8, 0.3), 24)
+    ref_vals, _ = _dense_eigh(problem, 4)
+
+    def breakdown(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(fem, "_ritz", breakdown)
+    calls = _count_shift_invert(monkeypatch)
+    vals, vecs = solve_smallest(problem, 4)
+    assert calls == [1]
     assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-10
     assert np.max(np.abs(vecs.T @ (problem.mass @ vecs) - np.eye(4))) < 1e-10
 
@@ -578,10 +599,46 @@ def test_all_modes_of_a_deformed_problem():
 def test_extreme_deformation_matches_dense(monkeypatch, direction, t):
     problem = assemble(DeformationParams(*direction, t), 16)
     ref_vals, _ = _dense_eigh(problem, 4)
-    calls = []
-    shift_invert = fem._shift_invert
-    monkeypatch.setattr(fem, "_shift_invert", lambda *args: calls.append(1) or shift_invert(*args))
+    calls = _count_shift_invert(monkeypatch)
     vals, vecs = solve_smallest(problem, 4)
     assert calls == [1]
     assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-10
     assert np.max(np.abs(vecs.T @ (problem.mass @ vecs) - np.eye(4))) < 1e-10
+
+
+# pairs with eigenvalues above 1e4, where 1e-9 |lambda| exceeds the residual
+# gate and LOBPCG must stop at the gate itself. At (0.8, 0.6) LOBPCG
+# converges inside it; along the second direction its Rayleigh-Ritz step
+# breaks down (LinAlgError) and shift-invert answers
+@pytest.mark.parametrize("direction, t, n, m, shift_invert_calls", [
+    ((0.8, 0.6), 1.8596, 16, 4, 0),
+    ((0.6290583596761136, 0.7773580771572374), 1.927734128964636, 12, 7, 1),
+])
+def test_large_eigenvalues_meet_the_gate(monkeypatch, direction, t, n, m, shift_invert_calls):
+    problem = assemble(DeformationParams(*direction, t), n)
+    ref_vals, _ = _dense_eigh(problem, m)
+    calls = _count_shift_invert(monkeypatch)
+    vals, vecs = solve_smallest(problem, m)
+    assert len(calls) == shift_invert_calls
+    assert ref_vals[-1] > 1e4
+    assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-10
+    assert np.max(np.abs(vecs.T @ (problem.mass @ vecs) - np.eye(m))) < 1e-10
+
+
+# the (0, 1) family is not separable, yet its gap has the exact form
+# remark_gap_curve(t) = 4 pi / (pi/2 - t) + 10 at every t. t = 0.3 runs
+# LOBPCG, t = 0.8 and 1.2 run shift-invert. Observed: relative errors
+# 2.4e-3, 5.0e-3 and 2.5e-2 at n = 48, ratios 4.00-4.09, h^2 constants
+# 2.65-3.45. At t = 1.4 the ratio (3.43) is still pre-asymptotic
+@pytest.mark.parametrize("t, shift_invert_calls", [(0.3, 0), (0.8, 1), (1.2, 1)])
+def test_numeric_gap_matches_exact_curve_at_large_t(monkeypatch, t, shift_invert_calls):
+    exact = remark_gap_curve(t)
+    calls = _count_shift_invert(monkeypatch)
+    errors = {}
+    for n in (48, 96):
+        calls.clear()
+        errors[n] = abs(numeric_gap(DeformationParams(0.0, 1.0, t), n) - exact) / exact
+        assert len(calls) == shift_invert_calls
+        h = (PI / 2) / (n - 1)
+        assert errors[n] <= 5.0 * h**2 / (PI / 2 - t) ** 2
+    assert 3.5 <= errors[48] / errors[96] <= 4.5
