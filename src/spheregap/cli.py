@@ -45,16 +45,35 @@ def _grid_blocks(z, b, values):
         yield (z_cell + ("\n" + z_cell).join(tails)) % tuple(row.tolist())
 
 
+def _json_cell(value) -> str:
+    """A scalar cell as json.dumps writes it; finite floats take the fast
+    path, float.__repr__, which json.dumps also uses for them."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
 def _emit(args, command: str, params: dict, columns, rows, summary=None, blocks=None) -> None:
-    """Write a command's output. rows holds the row tuples. A large table may
-    pass its CSV lines pre-rendered in blocks, strings of whole lines; rows
-    is then read for JSON only, and may be a generator."""
+    """Write a command's output. rows holds the row tuples of scalar cells.
+    A large table may pass its CSV lines pre-rendered in blocks, strings of
+    whole lines; rows is then read for JSON only, and may be a generator.
+    JSON is written a row at a time, with the bytes of json.dumps(payload,
+    indent=2) + "\n" for the payload {command, params, rows: one object per
+    row, summary if any}."""
     if args.format == "json":
-        payload = {"command": command, "params": params,
-                   "rows": [dict(zip(columns, row)) for row in rows]}
+        out = sys.stdout
+        head = json.dumps({"command": command, "params": params, "rows": []}, indent=2)
+        out.write(head[:-3])    # up to the "[" of the empty rows list
+        template = "{\n" + ",\n".join(f"      {json.dumps(c)}: %s" for c in columns) + "\n    }"
+        sep = "\n    "
+        for row in rows:
+            out.write(sep + template % tuple(map(_json_cell, row)))
+            sep = ",\n    "
+        # a list with items closes on a line of its own
+        out.write("]" if sep == "\n    " else "\n  ]")
         if summary:
-            payload["summary"] = summary
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+            out.write(',\n  "summary": ' + json.dumps(summary, indent=2).replace("\n", "\n  "))
+        out.write("\n}\n")
         return
     # No cell holds a comma, quote or newline, so no cell needs CSV quoting.
     lines = [("# %s=" + _template((value,))) % (key, value)

@@ -20,17 +20,18 @@ apex offset z vanish and T(t) is the half-lune triangle of angle pi/2 - t.
 Then K = K_r[w11] (x) M_theta + M_r[w22] (x) K_theta and
 M = M_r[m] (x) M_theta, the theta pencil has discrete sine eigenvectors, and
 solve_smallest solves one small radial pencil per theta mode (fast
-diagonalization, Lynch, Rice & Thomas 1964). Every other problem
-is a t > 0 deformation of the round (t = 0) problem on the same grid, whose
-stiffness K0 is spectrally equivalent to K(t) uniformly in h. Block LOBPCG
-(Knyazev 2001) solves it, started from the exact t = 0 eigenvectors and
-preconditioned by the exact inverse of K0: a sine transform in theta, one
-tridiagonal radial solve per theta mode, and the inverse transform. Near
-the largest t of a direction K0 preconditions K(t) poorly. LOBPCG stops
-only inside the residual gate; a run that reaches its iteration cap or
-whose Rayleigh-Ritz step breaks down hands the problem to ARPACK in
-shift-invert mode with a sparse LU of K(t). Every answer passes the same
-residual check on the 2D K and M.
+diagonalization, Lynch, Rice & Thomas 1964); one cached function makes
+those factors once per metric and grid. Every other problem is a t > 0
+deformation of the round (t = 0) problem on the same grid, whose stiffness
+K0 is spectrally equivalent to K(t) uniformly in h. Block LOBPCG (Knyazev
+2001) solves it with the factors of that t = 0 problem: started from its
+exact eigenvectors and preconditioned by the exact inverse of K0, a sine
+transform in theta, one tridiagonal radial solve per theta mode, and the
+inverse transform. Near the largest t of a direction K0 preconditions K(t)
+poorly. LOBPCG stops only inside the residual gate; a run that reaches its
+iteration cap or whose Rayleigh-Ritz step breaks down hands the problem to
+ARPACK in shift-invert mode with a sparse LU of K(t). Every answer passes
+the same residual check on the 2D K and M.
 
 Independent of the closed-form spectra, this provides numeric eigenvalues
 lambda_i(t), gaps, and finite-difference gap slopes for the deformation
@@ -184,7 +185,7 @@ class _SeparableFactors:
     sin(k pi j / (n_theta + 1)), M_theta-normalized here, and the eigenvalue
     mu_k of the theta pencil; it leaves the radial pencil
     (K_r + mu_k M_r[w22]) x = lambda M_r[m] x, and x (x) s_k is an
-    eigenvector of the 2D pencil.
+    eigenvector of the 2D pencil. _separable_factors builds every instance.
     """
 
     def __init__(self, stiffness_r, weight_r, mass_r, h_theta, n_theta):
@@ -258,7 +259,7 @@ class _SeparableFactors:
     @cached_property
     def _ldl(self):
         """Unit lower factor and pivots of the tridiagonal K_r + mu_k M_r[w22]
-        for every theta mode at once, each shaped (n_r, 1, n_theta)."""
+        for every theta mode at once, each shaped (n_r, n_theta)."""
         mu = self._theta_modes[0]
         diag = np.diagonal(self.stiffness_r)[:, None] + np.diagonal(self.weight_r)[:, None] * mu
         off = (np.diagonal(self.stiffness_r, 1)[:, None]
@@ -268,23 +269,22 @@ class _SeparableFactors:
         for i in range(1, len(diag)):
             lower[i] = off[i - 1] / pivot[i - 1]
             pivot[i] -= lower[i] * off[i - 1]
-        return lower[:, None, :], pivot[:, None, :]
+        return lower, pivot
 
     def solve(self, rows: np.ndarray) -> np.ndarray:
         """K^{-1} applied to every row of a (k, n) block: a sine transform in
-        theta, one tridiagonal solve per theta mode, the inverse transform."""
+        theta, one tridiagonal solve per theta mode, the inverse transform;
+        the sweeps run in place along axis 1 of the (k, n_r, n_theta) block."""
         sines = self._theta_modes[1]
-        n_r, n_t = len(self.mass_r), self.n_theta
+        n_t = self.n_theta
         lower, pivot = self._ldl
-        # (n_r, k, n_theta): a radial slice is contiguous
-        z = np.ascontiguousarray(
-            (rows.reshape(-1, n_t) @ sines).reshape(len(rows), n_r, n_t).transpose(1, 0, 2))
-        for i in range(1, n_r):
-            z[i] -= lower[i] * z[i - 1]
+        z = (rows.reshape(-1, n_t) @ sines).reshape(len(rows), -1, n_t)
+        for i in range(1, len(lower)):
+            z[:, i] -= lower[i] * z[:, i - 1]
         z /= pivot
-        for i in range(n_r - 2, -1, -1):
-            z[i] -= lower[i + 1] * z[i + 1]
-        return (z.transpose(1, 0, 2).reshape(-1, n_t) @ sines.T).reshape(len(rows), -1)
+        for i in range(len(lower) - 2, -1, -1):
+            z[:, i] -= lower[i + 1] * z[:, i + 1]
+        return (z.reshape(-1, n_t) @ sines.T).reshape(len(rows), -1)
 
 
 @dataclass
@@ -352,16 +352,25 @@ def _line_matrix(coef, basis, scale):
     return out
 
 
-def _radial_factors(fields, n_r, hx, hy, n_theta) -> _SeparableFactors:
-    """The 1D factors of r-only fields sampled on axes (cell_r, -, point_r, -)."""
-    w11_r, _, w22_r, m_r = (f[:, 0, :, 0] for f in fields)
-    phi_r = np.stack([1.0 - _GAUSS3_NODES, _GAUSS3_NODES])
-    dphi_r = np.array([[-1.0], [1.0]]) * np.ones(3)
+@lru_cache(maxsize=4)
+def _separable_factors(params: DeformationParams, spec, n: int) -> _SeparableFactors:
+    """The 1D factors of the r-only fields of params on the n x n grid of spec.
+
+    The fields are sampled at one theta per radial Gauss point, since they
+    do not depend on theta. Every t = 0 problem comes as params = _ROUND,
+    so one entry serves the t = 0 baseline of a grid and the reference
+    (start block and preconditioner) of every deformation on it."""
+    n_r = n if isinstance(spec, LuneSpec) else n - 1
+    hx, hy = spec.r_max / (n - 1), spec.beta / (n - 1)
+    rq = (np.arange(n - 1)[:, None] + _GAUSS3_NODES) * hx
+    w11, _, w22, m = metric_coefficients(params, rq, _GAUSS3_NODES[0] * hy)
+    phi = np.stack([1.0 - _GAUSS3_NODES, _GAUSS3_NODES])
+    dphi = np.array([[-1.0], [1.0]]) * np.ones(3)
     return _SeparableFactors(
-        stiffness_r=_line_matrix(w11_r, dphi_r, 1.0 / hx)[:n_r, :n_r],
-        weight_r=_line_matrix(w22_r, phi_r, hx)[:n_r, :n_r],
-        mass_r=_line_matrix(m_r, phi_r, hx)[:n_r, :n_r],
-        h_theta=hy, n_theta=n_theta,
+        stiffness_r=_line_matrix(w11, dphi, 1.0 / hx)[:n_r, :n_r],
+        weight_r=_line_matrix(w22, phi, hx)[:n_r, :n_r],
+        mass_r=_line_matrix(m, phi, hx)[:n_r, :n_r],
+        h_theta=hy, n_theta=n - 2,
     )
 
 
@@ -420,13 +429,12 @@ def assemble(domain, grid_n: int) -> DiscreteEigenproblem:
     # _reference_basis
     rq = (cells[:, None, None, None] + _GAUSS3_NODES[:, None]) * hx
     tq = (cells[:, None, None] + _GAUSS3_NODES) * hy
-    fields = metric_coefficients(params, rq, tq)
+    w11, w12, w22, m = (f.reshape(nc * nc, 9) for f in metric_coefficients(params, rq, tq))
     # at t = 0, or with b = 0, z = 0, so l = L = 0 exactly and every field is
-    # a function of r
+    # a function of r; at t = 0 they are the round fields
     separable = None
     if params.t == 0 or params.b == 0:
-        separable = _radial_factors(fields, n_r, hx, hy, n - 2)
-    w11, w12, w22, m = (f.reshape(nc * nc, 9) for f in fields)
+        separable = _separable_factors(_ROUND if params.t == 0 else params, spec, n)
 
     scale = wq[None, :] * (hx * hy)
     kloc, mloc = _local_matrices(
@@ -440,17 +448,6 @@ def assemble(domain, grid_n: int) -> DiscreteEigenproblem:
     if mass.diagonal().min() <= 0:
         raise AssemblyError("mass matrix lost positivity after Dirichlet elimination")
     return DiscreteEigenproblem(stiffness, mass, (n, n), separable)
-
-
-@lru_cache(maxsize=4)
-def _round_factors(n: int) -> _SeparableFactors:
-    """The factors of the beta = pi/2 triangle on an n x n grid under the
-    round (t = 0) metric, which every deformation on that grid shares."""
-    h = (math.pi / 2) / (n - 1)
-    rq = (np.arange(n - 1)[:, None, None, None] + _GAUSS3_NODES[:, None]) * h
-    # the round fields do not depend on theta: one sample serves every cell
-    fields = metric_coefficients(_ROUND, rq, np.full((1, 1, 1), _GAUSS3_NODES[0] * h))
-    return _radial_factors(fields, n - 1, h, h, n - 2)
 
 
 def _worst_residual(problem: DiscreteEigenproblem, vals, vecs) -> float:
@@ -561,14 +558,15 @@ def _shift_invert(problem: DiscreteEigenproblem, m: int):
 
 def _solve_deformed(problem: DiscreteEigenproblem, m: int):
     """m smallest eigenpairs of a non-separable problem: LOBPCG over the
-    guard block of the t = 0 cluster of lambda_m, started from the exact
-    t = 0 eigenvectors and preconditioned by the exact inverse of K0. The
+    guard block of the t = 0 cluster of lambda_m, with the cached factors
+    that solve the t = 0 problem of the grid: started from its eigenvectors
+    and preconditioned by the exact inverse of K0. The
     dense pencil when that block does not fit three times into the problem;
     shift-invert ARPACK for every LOBPCG run that does not end inside the
     residual gate: one that reaches its cap, as it does near the largest t
     of a direction, where K0 no longer preconditions K(t), or whose
     Rayleigh-Ritz step breaks down."""
-    reference = _round_factors(problem.shape[0])
+    reference = _separable_factors(_ROUND, TriangleSpec(math.pi / 2), problem.shape[0])
     block = reference.guard_block(m) if 3 * m <= problem.num_dof else m
     if 3 * block > problem.num_dof:
         vals, vecs = _pencil_eigh(problem.stiffness.toarray(), problem.mass.toarray())
@@ -658,8 +656,8 @@ def gap_slope(direction, t_values, grid_n: int) -> GapSlopeResult:
     continuum); the baseline uses the Rayleigh-weighted combination of the
     split pair (indices 1 and 2) selected by the second eigenvector at the
     smallest t, which removes the O(split/t) bias the plain minimum baseline
-    would leave behind. The round factors of the grid (start vectors and
-    preconditioner) serve every t.
+    would leave behind. The factors that solve t = 0 exactly also give every
+    t its start vectors and preconditioner, so they are built once.
     """
     ts = [float(t) for t in t_values]
     if not (ts and all(t > 0 for t in ts) and all(t1 > t2 for t1, t2 in zip(ts, ts[1:]))):

@@ -195,19 +195,17 @@ def eigenfunction_eval(spec, mode: ModeIndex, r: float, theta: float) -> float:
 def normalization_constant(spec, mode: ModeIndex) -> float:
     """Constant c making c * eigenfunction have unit L2 norm on the domain.
 
-    The norm integral (weight sin r dr dtheta) is evaluated with separated
-    _NORM_NODES-point Gauss-Legendre rules and checked against half as many.
-    A norm that underflows to 0, as on thin lunes (beta = 0.03, mode (1, 0)),
-    raises DomainError.
+    The norm integral (weight sin r dr dtheta) separates. Its angular factor,
+    the integral of sin^2(k pi theta / beta) over [0, beta], is beta / 2; the
+    radial one is evaluated with a _NORM_NODES-point Gauss-Legendre rule and
+    checked against half as many. A norm that underflows to 0, as on thin
+    lunes (beta = 0.03, mode (1, 0)), raises DomainError.
     """
 
     def norm_sq(n):
         rq, rw = gauss_legendre(0.0, spec.r_max, n)
-        tq, tw = gauss_legendre(0.0, spec.beta, n)
         rad = _radial_values(spec, mode, rq)
-        x = mode.k * math.pi / spec.beta
-        ang = np.sin(x * tq)
-        return float(np.sum(rw * rad**2 * np.sin(rq)) * np.sum(tw * ang**2))
+        return float(np.sum(rw * rad**2 * np.sin(rq)) * (0.5 * spec.beta))
 
     full = norm_sq(_NORM_NODES)
     if not (full > 0.0 and math.isfinite(full)):

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spheregap.cli import build_parser, main
@@ -310,6 +311,85 @@ def test_json_csv_payloads_identical(capsys, argv):
     for row in payload["rows"]:
         writer.writerow([cell(v) for v in row.values()])
     assert out_csv == reference.getvalue()
+
+
+def _whole_payload_json(command, params, columns, rows, summary=None):
+    """The JSON text as one json.dumps of the whole payload renders it."""
+    payload = {"command": command, "params": params,
+               "rows": [dict(zip(columns, row)) for row in rows]}
+    if summary:
+        payload["summary"] = summary
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--domain", "lune", "--beta-pi", "1.5", "--count", "6"],
+    ["gap-curve", "--domain", "triangle", "--beta-min-pi", "0.3",
+     "--beta-max-pi", "1.7", "--steps", "9"],
+    ["variation", "--z-steps", "13", "--b-steps", "5"],
+    ["verify-appendix"],
+    ["solve", "--a", "0.6", "--b", "0.8", "--t", "0.05", "--grid-n", "20"],
+    ["gap-slope", "--a", "1", "--b", "0", "--grid-n", "16"],
+])
+def test_streamed_json_matches_whole_payload_rendering(capsys, monkeypatch, argv):
+    import spheregap.cli as cli
+
+    calls = []
+    emit = cli._emit
+
+    def recording_emit(args, command, params, columns, rows, summary=None, blocks=None):
+        rows = list(rows)
+        calls.append((command, params, columns, rows, summary))
+        emit(args, command, params, columns, rows, summary, blocks)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    code, out = _run(capsys, *argv, "--format", "json")
+    assert code == 0 and len(calls) == 1
+    assert out == _whole_payload_json(*calls[0])
+
+
+@pytest.mark.parametrize("rows, summary", [
+    ([], None),
+    ([], {"gap": 1.5}),
+    ([(1, "a;b", 0.1)], None),
+    ([(2, "x", math.nan), (3, "", math.inf), (4, "\u00e9\"", -math.inf)], {"ok": 0, "e": -0.0}),
+    ([(True, None, np.float64(2.5))], {"tail": None}),
+])
+def test_streamed_json_edge_cases(capsys, rows, summary):
+    import argparse
+
+    import spheregap.cli as cli
+
+    columns, params = ("i", "s", "v"), {"x": 1.25, "name": "lune"}
+    cli._emit(argparse.Namespace(format="json"), "cmd", params, columns, rows, summary)
+    assert capsys.readouterr().out == _whole_payload_json("cmd", params, columns, rows, summary)
+    cli._emit(argparse.Namespace(format="json"), "cmd", {}, columns, iter(rows), summary)
+    assert capsys.readouterr().out == _whole_payload_json("cmd", {}, columns, rows, summary)
+
+
+def test_variation_json_is_streamed():
+    # the rows go out one at a time: the traced peak stays far below the
+    # bytes written, where a list of row dicts and one json.dumps string
+    # took several times as much
+    class Sink:
+        written = 0
+
+        def write(self, text):
+            self.written += len(text)
+
+    argv = ["variation", "--z-steps", "181", "--b-steps", "51", "--format", "json"]
+    with contextlib.redirect_stdout(Sink()):
+        main(argv)   # imports and caches outside the traced run
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.written > 181 * 51 * 80
+    assert peak <= sink.written
 
 
 def test_variation_csv_is_rendered_without_a_row_list():

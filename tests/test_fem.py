@@ -1,6 +1,7 @@
 """Tests for the finite-element eigensolver on the pullback metric."""
 import hashlib
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,8 @@ import spheregap.fem as fem
 from spheregap.errors import ConvergenceError
 from spheregap.fem import assemble, gap_slope, numeric_gap, solve_smallest
 from spheregap.geometry import DeformationParams, metric_coefficients
-from spheregap.spectra import LuneSpec, TriangleSpec, gap as closed_gap, gap_closed_form
+from spheregap.spectra import (LuneSpec, TriangleSpec, gap as closed_gap, gap_closed_form,
+                               gap_regime, spectrum)
 from spheregap.variation import remark_gap_curve
 
 PI = math.pi
@@ -282,6 +284,32 @@ def test_fem_gap_matches_closed_form_across_beta(spec_type, beta_pi):
     assert 3.5 <= errors[64] / errors[128] <= 4.5
 
 
+# beta / pi on both sides of each gap-regime crossover (beta = pi for lunes,
+# pi/2 for triangles), and on it
+@pytest.mark.parametrize("spec_type, beta_pi", [
+    *((LuneSpec, b) for b in (0.1, 0.9, 0.99, 1.0, 1.01, 1.1)),
+    *((TriangleSpec, b) for b in (0.1, 0.45, 0.49, 0.5, 0.51, 0.55, 1.5)),
+])
+def test_fem_mode_labels_follow_the_gap_regime(spec_type, beta_pi):
+    # the separable solver labels each discrete pair with its theta mode k
+    # and radial column j; the first two levels of the closed-form spectrum
+    # must carry the same labels, and the second eigenvalue's mode must
+    # switch from (1, 1) to (2, 0) where gap_regime crosses over. Observed:
+    # lune 0.99 pi 6.0545 (1, 1), 1.01 pi 5.9062 (2, 0); triangle 0.49 pi
+    # 30.4758 (1, 1), 0.51 pi 29.1659 (2, 0)
+    spec = spec_type(beta_pi * PI)
+    levels = spectrum(spec, 2)
+    sizes = [len(entry.modes) for entry in levels]
+    picked = assemble(spec, 64)._separable._smallest(sum(sizes))
+    labels = [(k, j) for _, k, j in picked]
+    assert set(labels[:sizes[0]]) == {(m.k, m.j) for m in levels[0].modes}
+    assert set(labels[sizes[0]:]) == {(m.k, m.j) for m in levels[1].modes}
+    if spec.beta == spec.crossover[0]:
+        assert set(labels[1:]) == {(1, 1), (2, 0)}
+    else:
+        assert labels[1] == ((1, 1) if gap_regime(spec).startswith("beta<=") else (2, 0))
+
+
 # an off-axis deformation at t > 0 is not separable, so it runs LOBPCG
 _OFF_AXIS = DeformationParams(0.6, 0.8, 0.01)
 
@@ -387,7 +415,7 @@ def test_lobpcg_basis_stays_in_preallocated_buffers():
     # (3k, n) buffers, 18 blocks of k n doubles, and the preconditioner adds
     # a few more; concatenating a fresh basis every iteration peaked at 31
     problem = assemble(DeformationParams(0.6, 0.8, 0.05), 64)
-    reference = fem._round_factors(64)
+    reference = fem._separable_factors(fem._ROUND, TriangleSpec(PI / 2), 64)
     k = reference.guard_block(4)
     start = np.ascontiguousarray(reference.eigenpairs(k)[1].T)
     first = fem._lobpcg(problem, start, reference.solve, 4)   # fills the caches
@@ -400,6 +428,58 @@ def test_lobpcg_basis_stays_in_preallocated_buffers():
     assert k == 6
     assert np.array_equal(vals, first[0]) and np.array_equal(vecs, first[1])
     assert peak <= 25 * k * problem.num_dof * 8
+
+
+def test_gap_slope_solves_each_radial_pencil_once():
+    # the t = 0 baseline and the LOBPCG reference of its grid share one set
+    # of factors, so each theta mode's radial pencil is solved once (two
+    # sets of factors took 7 solves). A fresh process starts from an empty
+    # factor cache, and one BLAS thread fixes the summation order that the
+    # bits depend on
+    code = (
+        "import spheregap.fem as fem\n"
+        "calls = []\n"
+        "pencil_eigh = fem._pencil_eigh\n"
+        "fem._pencil_eigh = lambda a, b: calls.append(1) or pencil_eigh(a, b)\n"
+        "r = fem.gap_slope((0.7071067811865476, 0.7071067811865475),\n"
+        "                  [0.019222, 0.009611, 0.0048055], 96)\n"
+        "print(len(calls), r.slope.hex())\n"
+    )
+    one_thread = {var: "1" for var in ("SPHEREGAP_THREADS", "OMP_NUM_THREADS",
+                                       "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, **one_thread})
+    assert out.stdout.split() == ["4", "0x1.853eabd11a1c5p+3"]
+
+
+def test_round_problems_share_the_lobpcg_reference(monkeypatch):
+    references = []
+    lobpcg = fem._lobpcg
+    monkeypatch.setattr(fem, "_lobpcg",
+                        lambda problem, start, precondition, m:
+                        references.append(precondition.__self__)
+                        or lobpcg(problem, start, precondition, m))
+    solve_smallest(assemble(DeformationParams(0.6, 0.8, 0.05), 24), 3)
+    round_factors = assemble(DeformationParams(0.6, 0.8, 0.0), 24)._separable
+    assert round_factors is assemble(DeformationParams(0.0, 1.0, 0.0), 24)._separable
+    assert len(references) == 1 and references[0] is round_factors
+
+
+def test_separable_solve_makes_no_transposed_copy():
+    # the sine transform keeps the row layout, and the sweeps run on it in
+    # place: the transform and the result are the only input-sized blocks,
+    # where a transposed copy of the transform peaked at 3.0
+    reference = fem._separable_factors(fem._ROUND, TriangleSpec(PI / 2), 64)
+    rows = np.random.default_rng(3).standard_normal((6, 63 * 62))
+    first = reference.solve(rows)   # builds the cached sines and LDL^T factors
+    tracemalloc.start()
+    try:
+        again = reference.solve(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again, first)
+    assert peak <= 2.2 * rows.nbytes
 
 
 def test_gap_solves_converge_three_pairs(monkeypatch):
