@@ -3,26 +3,16 @@ half-lune triangles: closed-form eigenvalues and eigenfunctions, the exact
 first variation of the gap at the right-angled equilateral triangle, and an
 independent finite-element cross-check on the deformed domains.
 
-Importing the package loads numpy only. The finite-element module `fem`
-and its re-exported names are imported on first access; they need numpy
-only as well. scipy loads only for the Legendre ODE branch and for the
+Importing the package loads its error types only. Every other public name
+and submodule is imported on first access, through the table `_LAZY`.
+Closed-form spectra and gaps need math only, everything else numpy only.
+scipy loads only for the Legendre ODE branch and for the
 shift-invert solve that FEM problems near the largest deformation fall back
 to.
 """
 import importlib as _importlib
 import os as _os
 
-# Cap BLAS/OpenMP parallelism through the environment variables that a BLAS
-# reads when it loads: a BLAS already loaded before `import spheregap` (by a
-# script that imported numpy or scipy first) keeps its own thread count,
-# while child processes inherit the cap.
-_threads = _os.environ.get("SPHEREGAP_THREADS", "").strip()
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
-from . import geometry, special, spectra, variation
 from .errors import (
     AssemblyError,
     ConvergenceError,
@@ -31,56 +21,53 @@ from .errors import (
     SingularPointError,
     SphereGapError,
 )
-from .geometry import (
-    CoordPoint,
-    DeformationParams,
-    FieldSample,
-    MetricTensor,
-    apex_offset,
-    deform_jacobian,
-    deform_map,
-    first_order_operator_apply,
-    pullback_metric,
-    side_distance,
-)
-from .special import LegendreParams, gamma_fn, legendre_p, legendre_p_at_zero, legendre_p_dx
-from .spectra import (
-    LuneSpec,
-    ModeIndex,
-    SpectrumEntry,
-    TriangleSpec,
-    eigenfunction_eval,
-    eigenvalue,
-    gap,
-    gap_closed_form,
-    normalization_constant,
-    spectrum,
-)
-from .variation import (
-    BilinearTermTable,
-    PairingSpec,
-    gap_variation_I,
-    lambda1_dot,
-    minimize_gap_variation,
-    pairing_terms,
-    verify_appendix,
-)
+
+
+def _cap_threads(threads: str) -> None:
+    """Cap BLAS/OpenMP parallelism through the environment variables that a
+    BLAS reads when it loads: a BLAS already loaded keeps its own thread
+    count, while child processes inherit the cap."""
+    if threads:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS"):
+            _os.environ.setdefault(var, threads)
+
+
+_cap_threads(_os.environ.get("SPHEREGAP_THREADS", "").strip())
 
 __version__ = "0.1.0"
 
-_FEM_NAMES = frozenset({
-    "DiscreteEigenproblem", "GapSlopeResult", "assemble",
-    "gap_slope", "numeric_gap", "solve_smallest",
-})
+# public name -> the submodule that defines it; a submodule maps to itself
+_LAZY = {
+    name: module
+    for module, names in (
+        ("geometry", ("CoordPoint", "DeformationParams", "FieldSample", "MetricTensor",
+                      "apex_offset", "deform_jacobian", "deform_map",
+                      "first_order_operator_apply", "pullback_metric", "side_distance")),
+        ("special", ("LegendreParams", "gamma_fn", "legendre_p", "legendre_p_at_zero",
+                     "legendre_p_dx")),
+        ("spectra", ("LuneSpec", "ModeIndex", "SpectrumEntry", "TriangleSpec",
+                     "eigenfunction_eval", "eigenvalue", "gap", "gap_closed_form",
+                     "normalization_constant", "spectrum")),
+        ("variation", ("BilinearTermTable", "PairingSpec", "gap_variation_I", "lambda1_dot",
+                       "minimize_gap_variation", "pairing_terms", "verify_appendix")),
+        ("fem", ("DiscreteEigenproblem", "GapSlopeResult", "assemble", "gap_slope",
+                 "numeric_gap", "solve_smallest")),
+        ("quadrature", ()),
+    )
+    for name in (module, *names)
+}
 
 
 def __getattr__(name):
-    # `from . import fem` here would re-enter this hook for "fem"
-    if name == "fem" or name in _FEM_NAMES:
-        fem = _importlib.import_module(".fem", __name__)
-        return fem if name == "fem" else getattr(fem, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # `from . import <module>` here would re-enter this hook
+    module = _importlib.import_module("." + _LAZY[name], __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
 
 
 def __dir__():
-    return sorted(set(globals()) | _FEM_NAMES | {"fem"})
+    return sorted(set(globals()) | set(_LAZY))

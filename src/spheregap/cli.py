@@ -7,11 +7,13 @@ byte-identical output. Exit codes: 0 success, 1 usage error, 2 numerical
 failure, 3 verification failure.
 """
 import argparse
+import itertools
 import json
 import math
+import os
 import sys
 
-from . import spectra
+from . import _cap_threads, spectra
 from .errors import SphereGapError
 
 
@@ -45,29 +47,37 @@ def _grid_blocks(z, b, values):
         yield (z_cell + ("\n" + z_cell).join(tails)) % tuple(row.tolist())
 
 
-def _json_cell(value) -> str:
-    """A scalar cell as json.dumps writes it; finite floats take the fast
-    path, float.__repr__, which json.dumps also uses for them."""
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value)
+# rows per block of streamed JSON
+_JSON_BLOCK = 1024
+
+
+def _json_column(cells):
+    """The cells of one column of a block as json.dumps writes them. A column
+    of finite floats takes one map(float.__repr__), which json.dumps also
+    uses for them; any other column goes cell by cell. A sum of floats is
+    finite only if every term is."""
+    if set(map(type, cells)) == {float} and math.isfinite(sum(cells)):
+        return map(float.__repr__, cells)
+    return map(json.dumps, cells)
 
 
 def _emit(args, command: str, params: dict, columns, rows, summary=None, blocks=None) -> None:
     """Write a command's output. rows holds the row tuples of scalar cells.
     A large table may pass its CSV lines pre-rendered in blocks, strings of
     whole lines; rows is then read for JSON only, and may be a generator.
-    JSON is written a row at a time, with the bytes of json.dumps(payload,
-    indent=2) + "\n" for the payload {command, params, rows: one object per
-    row, summary if any}."""
+    JSON is written _JSON_BLOCK rows at a time, with the bytes of
+    json.dumps(payload, indent=2) + "\n" for the payload {command, params,
+    rows: one object per row, summary if any}."""
     if args.format == "json":
         out = sys.stdout
         head = json.dumps({"command": command, "params": params, "rows": []}, indent=2)
         out.write(head[:-3])    # up to the "[" of the empty rows list
         template = "{\n" + ",\n".join(f"      {json.dumps(c)}: %s" for c in columns) + "\n    }"
         sep = "\n    "
-        for row in rows:
-            out.write(sep + template % tuple(map(_json_cell, row)))
+        rows = iter(rows)
+        while block := list(itertools.islice(rows, _JSON_BLOCK)):
+            cells = zip(*map(_json_column, zip(*block)))
+            out.write(sep + ",\n    ".join(template % row for row in cells))
             sep = ",\n    "
         # a list with items closes on a line of its own
         out.write("]" if sep == "\n    " else "\n  ]")
@@ -270,6 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # one BLAS thread unless SPHEREGAP_THREADS says otherwise, so that
+        # printed FEM digits do not depend on the core count; a BLAS reads
+        # the cap when numpy loads, which the commands do after this point
+        _cap_threads(os.environ.get("SPHEREGAP_THREADS", "").strip() or "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,16 +10,16 @@ Separation of variables gives eigenfunctions
 
 with degree l = k pi/beta + j for the lune and l = k pi/beta + 2j + 1 for
 the triangle, and eigenvalues l(l+1).
+
+Spectra and gaps need math only; the eigenfunction half imports numpy and
+the special functions on its first call.
 """
 import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import gauss_legendre
-from .special import LegendreParams, legendre_p_dx, legendre_p_many
 
 COALESCE_RTOL = 1e-9
 
@@ -150,23 +150,32 @@ def gap_regime(spec) -> str:
     return f"beta>{label}" if spec.beta > edge else f"beta<={label}"
 
 
-def legendre_params_for(spec, mode: ModeIndex) -> LegendreParams:
-    """Degree and order of the radial factor of the given mode."""
-    return LegendreParams(spec.degree(mode), -(mode.k * math.pi / spec.beta))
+@cache
+def _numeric():
+    """numpy and the quadrature and special modules of the eigenfunction half."""
+    import numpy
+    from . import quadrature, special
+    return numpy, quadrature, special
+
+
+def legendre_params_for(spec, mode: ModeIndex):
+    """Degree and order (a LegendreParams) of the radial factor of the given mode."""
+    return _numeric()[2].LegendreParams(spec.degree(mode), -(mode.k * math.pi / spec.beta))
 
 
 def _radial_values(spec, mode: ModeIndex, r):
+    np, _, special = _numeric()
     params = legendre_params_for(spec, mode)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     x = np.cos(r)
     # south pole r = pi maps to x = -1; admissible modes vanish there
     x_clip = np.where(x <= -1.0, 0.0, x)
-    vals = legendre_p_many(params.degree, params.order, x_clip)
+    vals = special.legendre_p_many(params.degree, params.order, x_clip)
     vals = np.where(x <= -1.0, 0.0, vals)
     if isinstance(spec, TriangleSpec):
         # slope of P in x = cos(r) at the r = pi/2 edge; nonzero because the
         # radial factor vanishes there and solves a second-order ODE
-        slope = legendre_p_dx(params.degree, params.order, 0.0)
+        slope = special.legendre_p_dx(params.degree, params.order, 0.0)
         if slope == 0.0 or not math.isfinite(slope):
             raise DomainError(f"radial scale P'(0) = {slope} of mode ({mode.k}, {mode.j}) "
                               f"at beta = {spec.beta} is zero or not finite")
@@ -201,9 +210,10 @@ def normalization_constant(spec, mode: ModeIndex) -> float:
     checked against half as many. A norm that underflows to 0, as on thin
     lunes (beta = 0.03, mode (1, 0)), raises DomainError.
     """
+    np, quadrature, _ = _numeric()
 
     def norm_sq(n):
-        rq, rw = gauss_legendre(0.0, spec.r_max, n)
+        rq, rw = quadrature.gauss_legendre(0.0, spec.r_max, n)
         rad = _radial_values(spec, mode, rq)
         return float(np.sum(rw * rad**2 * np.sin(rq)) * (0.5 * spec.beta))
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -470,9 +471,21 @@ def test_console_entry_point_subprocess():
     assert out.stdout.splitlines()[1].startswith("12,1,")
 
 
-def test_thread_cap_env_propagates():
-    import os
+def test_fem_bytes_do_not_depend_on_the_default_thread_count():
+    # the command line runs one BLAS thread unless SPHEREGAP_THREADS says
+    # otherwise; with the BLAS default (one thread per core) this separable
+    # solve printed other 17-digit values on a multi-core host
+    argv = ["solve", "--a", "1", "--b", "0", "--t", "0.3", "--grid-n", "96"]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("SPHEREGAP_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    runs = [subprocess.run([sys.executable, "-m", "spheregap.cli", *argv], env=extra,
+                           capture_output=True, check=True).stdout
+            for extra in (env, dict(env, SPHEREGAP_THREADS="1"))]
+    assert runs[0] and runs[0] == runs[1]
 
+
+def test_thread_cap_env_propagates():
     code = ("import os, spheregap\n"
             "print(os.environ.get('OMP_NUM_THREADS'))\n")
     env = dict(os.environ, SPHEREGAP_THREADS="1")

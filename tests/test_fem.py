@@ -232,6 +232,20 @@ def test_gap_slope_axis_direction():
     assert abs(result.gap_at_zero - 18.0) < 0.2
 
 
+@pytest.mark.parametrize("degrees", [0, 27, 45, 63, 90])
+def test_gap_slope_converges_to_the_exact_slope(degrees):
+    # Gamma'(0; a, b) = (38(a+b) - 22 sqrt(1-ab))/pi, the minimum over z of
+    # the first variation I(z, (a, b)); 27 and 63 degrees, like 0 and 90,
+    # are a mirror pair (a, b), (b, a) with the same slope
+    a, b = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    exact = (38.0 * (a + b) - 22.0 * math.sqrt(1.0 - a * b)) / PI
+    errors = {n: abs(gap_slope((a, b), [0.02, 0.01, 0.005], n).slope - exact) / exact
+              for n in (48, 96)}
+    for n, error in errors.items():
+        assert error <= 16.0 / n**2, (n, error)  # observed at most 11.6 / n^2
+    assert 3.5 <= errors[48] / errors[96] <= 5.0  # O(h^2): observed 4.08-4.74
+
+
 def test_gap_slope_validation():
     grid_n = 16
     with pytest.raises(ValueError):

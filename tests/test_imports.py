@@ -1,6 +1,9 @@
-"""What `import spheregap` loads: numpy only. The finite-element module and
-the FEM commands need no scipy either; only the Legendre ODE branch and the
-shift-invert fallback for deformations near the largest t import it."""
+"""What `import spheregap` loads: its error types only. Every other public
+name and submodule resolves on first access through the package's name
+table, so the closed-form commands `spectrum` and `gap-curve` load no
+numpy. The finite-element module and the FEM commands need no scipy; only
+the Legendre ODE branch and the shift-invert fallback for deformations near
+the largest t import it. Each test runs a fresh interpreter."""
 import subprocess
 import sys
 
@@ -15,6 +18,76 @@ def _run(code: str) -> str:
 
 
 _SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+
+
+def test_import_loads_no_numpy():
+    code = (
+        "import sys\n"
+        "import spheregap\n"
+        "print('numpy' in sys.modules, sorted(m for m in sys.modules if m.startswith('spheregap')))\n"
+    )
+    assert _run(code).splitlines() == ["False ['spheregap', 'spheregap.errors']"]
+
+
+def test_closed_form_commands_load_no_numpy():
+    code = (
+        "import contextlib, io, sys\n"
+        "from spheregap import cli\n"
+        "commands = [\n"
+        "    ['spectrum', '--domain', 'triangle', '--beta-pi', '0.5', '--count', '3'],\n"
+        "    ['spectrum', '--domain', 'lune', '--beta', '1.3', '--format', 'json'],\n"
+        "    ['gap-curve', '--domain', 'lune', '--beta-min-pi', '0.25',\n"
+        "     '--beta-max-pi', '1.75', '--steps', '8'],\n"
+        "    ['gap-curve', '--domain', 'triangle', '--beta-min', '0.2',\n"
+        "     '--beta-max', '3', '--steps', '5', '--format', 'json'],\n"
+        "]\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    codes = [cli.main(argv) for argv in commands]\n"
+        "print(codes, len(out.getvalue()) > 0, 'numpy' in sys.modules)\n"
+    )
+    assert _run(code).splitlines() == ["[0, 0, 0, 0] True False"]
+
+
+def test_every_table_name_resolves_and_is_listed():
+    code = (
+        "import importlib\n"
+        "import spheregap\n"
+        "listed = dir(spheregap)\n"
+        "bad = []\n"
+        "for name, module_name in spheregap._LAZY.items():\n"
+        "    scope = {}\n"
+        "    exec(f'from spheregap import {name}', scope)\n"
+        "    module = importlib.import_module('spheregap.' + module_name)\n"
+        "    home = module if name == module_name else getattr(module, name)\n"
+        "    if scope[name] is not home or name not in listed:\n"
+        "        bad.append(name)\n"
+        "print(len(spheregap._LAZY), bad)\n"
+    )
+    count, bad = _run(code).split(" ", 1)
+    assert int(count) >= 40 and bad.strip() == "[]"
+
+
+def test_submodules_resolve_once_and_unknown_names_raise():
+    code = (
+        "import sys\n"
+        "import spheregap\n"
+        "for name in ('geometry', 'special', 'spectra', 'variation', 'fem'):\n"
+        "    print(name, getattr(spheregap, name) is sys.modules['spheregap.' + name])\n"
+        "hook, calls = spheregap.__getattr__, []\n"
+        "spheregap.__getattr__ = lambda name: calls.append(name) or hook(name)\n"
+        "first = spheregap.normalization_constant\n"
+        "second = spheregap.normalization_constant\n"
+        "print(first is second is spheregap.spectra.normalization_constant, calls)\n"
+        "try:\n"
+        "    spheregap.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(type(exc).__name__, calls[-1])\n"
+    )
+    assert _run(code).splitlines() == [
+        "geometry True", "special True", "spectra True", "variation True", "fem True",
+        "True ['normalization_constant']",
+        "AttributeError no_such_name",
+    ]
 
 
 def test_closed_form_commands_load_no_scipy():

@@ -7,6 +7,7 @@ import pytest
 
 import spheregap.variation as variation
 from spheregap.quadrature import gauss_legendre
+from spheregap.spectra import TriangleSpec, gap_closed_form
 from spheregap.variation import (
     C1,
     C2,
@@ -224,6 +225,37 @@ def test_slope_reference_consistency():
     fd = (remark_gap_curve(h) - remark_gap_curve(-h)) / (2 * h)
     assert abs(fd - ref) < 1e-4
     assert remark_gap_curve(0.0) == 18.0
+
+
+def _exact_gap_slope(a, b):
+    """Gamma'(0; a, b) = min over z of I(z, (a, b)) = (38(a+b) - 22 sqrt(1-ab))/pi:
+    the smaller eigenvalue of second_eigenvalue_form, whose eigenvalues are
+    (66(a+b) -+ 22 sqrt(1-ab))/pi, minus lambda1_dot = 28(a+b)/pi."""
+    return (38.0 * (a + b) - 22.0 * np.sqrt(1.0 - a * b)) / PI
+
+
+def test_grid_columns_attain_the_exact_slope():
+    # I(z) = c + R cos(2(z - z*)) with R = 22 sqrt(1-ab)/pi, half the spread
+    # of the form's eigenvalues, so a z step dz leaves the column minimum at
+    # most R (1 - cos dz) above the exact one
+    table = gap_variation_table(721, 201)
+    a = np.sqrt(1.0 - table.b**2)
+    exact = _exact_gap_slope(a, table.b)
+    column_min = table.values.min(axis=0)
+    dz = table.z[1] - table.z[0]
+    spacing_bound = 22.0 * np.sqrt(1.0 - a * table.b) / PI * (1.0 - math.cos(dz))
+    assert np.all(exact <= column_min + 1e-13)
+    assert np.all(column_min - exact <= spacing_bound + 1e-13)
+    # the slope is smallest, 16/pi, exactly on the axes ab = 0
+    assert exact[0] == pytest.approx(16.0 / PI, abs=1e-14)
+    assert exact[-1] == pytest.approx(16.0 / PI, abs=1e-14)
+    assert np.all(exact[1:-1] > 16.0 / PI)
+
+
+def test_exact_gap_curve_is_the_half_lune_triangle_gap():
+    # along (1, 0) T(t) is the half-lune triangle of angle pi/2 - t
+    for t in np.linspace(0.0, PI / 2, 1500, endpoint=False).tolist():
+        assert remark_gap_curve(t) == gap_closed_form(TriangleSpec(PI / 2 - t)), t
 
 
 # ------------------------------------------------------------ verification
