@@ -47,8 +47,8 @@ _LAZY = {
         ("special", ("LegendreParams", "gamma_fn", "legendre_p", "legendre_p_at_zero",
                      "legendre_p_dx")),
         ("spectra", ("LuneSpec", "ModeIndex", "SpectrumEntry", "TriangleSpec",
-                     "eigenfunction_eval", "eigenvalue", "gap", "gap_closed_form",
-                     "normalization_constant", "spectrum")),
+                     "eigenfunction_eval", "eigenvalue", "gap", "normalization_constant",
+                     "spectrum")),
         ("variation", ("BilinearTermTable", "PairingSpec", "gap_variation_I", "lambda1_dot",
                        "minimize_gap_variation", "pairing_terms", "verify_appendix")),
         ("fem", ("DiscreteEigenproblem", "GapSlopeResult", "assemble", "gap_slope",

@@ -289,13 +289,16 @@ class _SeparableFactors:
 
 @dataclass
 class DiscreteEigenproblem:
-    """Assembled stiffness/mass pair with Dirichlet rows eliminated."""
+    """Assembled stiffness/mass pair with Dirichlet rows eliminated.
+
+    factors are the problem's own exact factors when it is separable (its
+    fields depend on r only), and otherwise those of the round (t = 0)
+    problem on the same grid, which start and precondition its solve."""
 
     stiffness: StencilMatrix
     mass: StencilMatrix
-    shape: tuple                # (n, n) nodes of the full grid
-    # None unless the fields depend on r only
-    _separable: _SeparableFactors = field(default=None, repr=False)
+    factors: _SeparableFactors = field(repr=False)
+    separable: bool
 
     @property
     def num_dof(self) -> int:
@@ -430,12 +433,6 @@ def assemble(domain, grid_n: int) -> DiscreteEigenproblem:
     rq = (cells[:, None, None, None] + _GAUSS3_NODES[:, None]) * hx
     tq = (cells[:, None, None] + _GAUSS3_NODES) * hy
     w11, w12, w22, m = (f.reshape(nc * nc, 9) for f in metric_coefficients(params, rq, tq))
-    # at t = 0, or with b = 0, z = 0, so l = L = 0 exactly and every field is
-    # a function of r; at t = 0 they are the round fields
-    separable = None
-    if params.t == 0 or params.b == 0:
-        separable = _separable_factors(_ROUND if params.t == 0 else params, spec, n)
-
     scale = wq[None, :] * (hx * hy)
     kloc, mloc = _local_matrices(
         w11 * scale / hx**2,
@@ -447,7 +444,12 @@ def assemble(domain, grid_n: int) -> DiscreteEigenproblem:
     stiffness, mass = _stencil(kloc, n, n_r), _stencil(mloc, n, n_r)
     if mass.diagonal().min() <= 0:
         raise AssemblyError("mass matrix lost positivity after Dirichlet elimination")
-    return DiscreteEigenproblem(stiffness, mass, (n, n), separable)
+    # at t = 0, or with b = 0, z = 0, so l = L = 0 exactly and every field is
+    # a function of r; at t = 0 they are the round fields. Built last, so
+    # that the factors do not add to the peak of the 2D fields
+    separable = params.t == 0 or params.b == 0
+    factors = _separable_factors(params if params.t != 0 and separable else _ROUND, spec, n)
+    return DiscreteEigenproblem(stiffness, mass, factors, separable)
 
 
 def _worst_residual(problem: DiscreteEigenproblem, vals, vecs) -> float:
@@ -558,16 +560,16 @@ def _shift_invert(problem: DiscreteEigenproblem, m: int):
 
 def _solve_deformed(problem: DiscreteEigenproblem, m: int):
     """m smallest eigenpairs of a non-separable problem: LOBPCG over the
-    guard block of the t = 0 cluster of lambda_m, with the cached factors
-    that solve the t = 0 problem of the grid: started from its eigenvectors
-    and preconditioned by the exact inverse of K0. The
-    dense pencil when that block does not fit three times into the problem;
+    guard block of the t = 0 cluster of lambda_m, with problem.factors, the
+    factors that solve the t = 0 problem of its grid: started from its
+    eigenvectors and preconditioned by the exact inverse of K0. The dense
+    pencil when that block does not fit three times into the problem;
     shift-invert ARPACK for every LOBPCG run that does not end inside the
     residual gate: one that reaches its cap, as it does near the largest t
     of a direction, where K0 no longer preconditions K(t), or whose
     Rayleigh-Ritz step breaks down."""
-    reference = _separable_factors(_ROUND, TriangleSpec(math.pi / 2), problem.shape[0])
-    block = reference.guard_block(m) if 3 * m <= problem.num_dof else m
+    reference = problem.factors
+    block = reference.guard_block(m)
     if 3 * block > problem.num_dof:
         vals, vecs = _pencil_eigh(problem.stiffness.toarray(), problem.mass.toarray())
         return vals[:m], vecs[:, :m]
@@ -601,8 +603,8 @@ def solve_smallest(problem: DiscreteEigenproblem, m: int):
         raise ValueError("m must be >= 1")
     if m > problem.num_dof:
         raise ValueError("requested more modes than retained degrees of freedom")
-    if problem._separable is not None:
-        vals, vecs = problem._separable.eigenpairs(m)
+    if problem.separable:
+        vals, vecs = problem.factors.eigenpairs(m)
     else:
         vals, vecs = _solve_deformed(problem, m)
     worst = _worst_residual(problem, vals, vecs)
@@ -635,7 +637,12 @@ def _neville_to_zero(ts, ys):
 
 @dataclass(frozen=True)
 class GapSlopeResult:
-    """Extrapolated gap slope at t = 0 with its finite-difference history."""
+    """Extrapolated gap slope at t = 0 with its finite-difference history.
+
+    error_estimate is the last Neville correction of the extrapolation in t.
+    It does not measure the discretization error in h, which is far larger:
+    at 45 degrees and n = 96 it is 1.65e-4 while the slope is off the exact
+    one by 9.6e-3."""
 
     slope: float
     error_estimate: float

@@ -91,9 +91,14 @@ class SpectrumEntry:
 
 
 def eigenvalue(spec, mode: ModeIndex) -> float:
-    """l(l+1) with l = spec.degree(mode)."""
+    """l(l+1) with l = spec.degree(mode). Raises DomainError when it is not
+    finite, as for beta below about 2.3e-154."""
     x = spec.degree(mode)
-    return x * (x + 1.0)
+    lam = x * (x + 1.0)
+    if not math.isfinite(lam):
+        raise DomainError(f"eigenvalue {lam} of mode ({mode.k}, {mode.j}) "
+                          f"at beta = {spec.beta} is not finite")
+    return lam
 
 
 def spectrum(spec, count: int) -> list:
@@ -123,25 +128,24 @@ def spectrum(spec, count: int) -> list:
 
 
 def gap(spec) -> float:
-    """Fundamental gap lambda_2 - lambda_1.
+    """Fundamental gap lambda_2 - lambda_1 in closed form, with x = pi/beta.
 
-    The second eigenvalue is the smaller of the two candidate modes (1, 1)
-    and (2, 0); this reproduces the piecewise closed forms with crossover at
-    beta = pi (lune) and beta = pi/2 (triangle).
+    Up to the crossover angle spec.crossover the second eigenvalue is mode
+    (1, 1) and the gap is 2x + 2 (lune) or 4x + 10 (triangle); above it,
+    mode (2, 0) and 3x^2 + x or 3x^2 + 3x. Written in x, the gap keeps full
+    relative precision on thin domains, where it is the difference of two
+    eigenvalues of size x^2. Raises DomainError when it is not finite (beta
+    below about 3.5e-308 for the lune, 7e-308 for the triangle).
     """
-    lam1 = eigenvalue(spec, ModeIndex(1, 0))
-    lam2 = min(eigenvalue(spec, ModeIndex(1, 1)), eigenvalue(spec, ModeIndex(2, 0)))
-    return lam2 - lam1
-
-
-def gap_closed_form(spec) -> float:
-    """Piecewise closed form of the gap (used as a cross-check on gap())."""
     x = math.pi / spec.beta
+    above = spec.beta > spec.crossover[0]
     if isinstance(spec, LuneSpec):
-        return 3.0 * x * x + x if spec.beta > math.pi else 2.0 * x + 2.0
-    if isinstance(spec, TriangleSpec):
-        return 3.0 * x * x + 3.0 * x if spec.beta > math.pi / 2 else 4.0 * x + 10.0
-    raise TypeError(f"unsupported domain spec {type(spec).__name__}")
+        value = 3.0 * x * x + x if above else 2.0 * x + 2.0
+    else:
+        value = 3.0 * x * x + 3.0 * x if above else 4.0 * x + 10.0
+    if not math.isfinite(value):
+        raise DomainError(f"gap {value} at beta = {spec.beta} is not finite")
+    return value
 
 
 def gap_regime(spec) -> str:

@@ -35,7 +35,6 @@ C3 = 3465.0 / (32.0 * PI)
 TERM_LABELS = ("I", "II", "III", "IV", "V")
 MODE_NAMES = ("u1", "u2_1", "u2_2")
 
-GAP_AT_BASE = 18.0
 MIN_GAP_VARIATION = 16.0 / PI
 
 # Gauss-Legendre points per axis of every pairing integral; the integrands
@@ -280,19 +279,6 @@ def gap_variation_table(z_steps: int, b_steps: int, *, a=None, b=None) -> Variat
 def minimize_gap_variation(z_steps: int = 2000, b_steps: int = 2000) -> VariationMinimum:
     """Grid minimum of I(z, b) over [0, 2 pi] x [0, 1]; expected value 16/pi."""
     return gap_variation_table(z_steps, b_steps).minimum
-
-
-def gap_slope_reference() -> float:
-    """d/dt of the exact one-sided gap curve 4 pi / (pi/2 - t) + 10 at t = 0.
-
-    Equals 4 pi / (pi/2)^2 = 16/pi and must coincide with min I(z, b).
-    """
-    return 4.0 * PI / (PI / 2.0) ** 2
-
-
-def remark_gap_curve(t: float) -> float:
-    """Exact gap of the one-sided deformations T(t), directions (1,0) or (0,1)."""
-    return 4.0 * PI / (PI / 2.0 - t) + 10.0
 
 
 # printed closed-form values for every pairing term (b-part for I..IV, a-part for V)

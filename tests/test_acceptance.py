@@ -17,16 +17,11 @@ from spheregap.spectra import (
     LuneSpec,
     ModeIndex,
     TriangleSpec,
+    eigenvalue,
     gap,
-    gap_closed_form,
     spectrum,
 )
-from spheregap.variation import (
-    gap_slope_reference,
-    minimize_gap_variation,
-    remark_gap_curve,
-    verify_appendix,
-)
+from spheregap.variation import minimize_gap_variation, verify_appendix
 
 PI = math.pi
 REF_SLOPE = 16.0 / PI
@@ -80,7 +75,10 @@ def test_criterion_02_gap_formulas():
     worst = 0.0
     for beta in betas:
         for spec in (LuneSpec(float(beta)), TriangleSpec(float(beta))):
-            worst = max(worst, abs(gap(spec) - gap_closed_form(spec)) / gap_closed_form(spec))
+            # the definition, min(lambda(1, 1), lambda(2, 0)) - lambda(1, 0)
+            ref = (min(eigenvalue(spec, ModeIndex(1, 1)), eigenvalue(spec, ModeIndex(2, 0)))
+                   - eigenvalue(spec, ModeIndex(1, 0)))
+            worst = max(worst, abs(gap(spec) - ref) / ref)
     elapsed = time.perf_counter() - start
     eps = 1e-9
     crossover_ok = (
@@ -105,7 +103,7 @@ def test_criterion_03_gap_divergence():
     ok = (
         bool(np.all(np.diff(gaps) > 0.0))
         and gaps[-1] > 6e4
-        and float(rel.max()) < 1e-9
+        and float(rel.max()) <= 2.0 * np.finfo(float).eps
         and elapsed < 1e-2
     )
     _report(3, "lune gap 2*pi/beta + 2 increases without bound as beta -> 0", ok,
@@ -135,11 +133,11 @@ def test_criterion_05_variation_minimum(variation_minimum):
 
 
 def test_criterion_06_remark_cross_check(variation_minimum):
-    ref = gap_slope_reference()
+    ref = 4.0 * PI / (PI / 2.0) ** 2  # d/dt [4 pi / (pi/2 - t) + 10] at t = 0
     ok = (
         abs(ref - REF_SLOPE) < 1e-12
         and abs(variation_minimum.value - ref) < 1e-12
-        and remark_gap_curve(0.0) == 18.0
+        and gap(TriangleSpec(PI / 2)) == 18.0
     )
     _report(6, "d/dt of the exact one-sided gap curve equals min I = 16/pi", ok,
             f"slope {ref:.12f}, min I {variation_minimum.value:.12f}")
@@ -180,10 +178,10 @@ def test_criterion_08_gap_slope_axis_directions():
     for direction in ((1.0, 0.0), (0.0, 1.0)):
         result = gap_slope(direction, t_values, grid_n)
         slope_ok = abs(result.slope - REF_SLOPE) < 0.05 * REF_SLOPE
-        curve_ok = all(
-            abs(g - remark_gap_curve(t)) < 0.01 * remark_gap_curve(t)
-            for t, g in zip(result.t_values, result.gaps)
-        )
+        # along either axis the gap of T(t) is that of the half-lune
+        # triangle of angle pi/2 - t
+        exact = [gap(TriangleSpec(PI / 2 - t)) for t in result.t_values]
+        curve_ok = all(abs(g - e) < 0.01 * e for g, e in zip(result.gaps, exact))
         ok = ok and slope_ok and curve_ok
         details.append(f"(a,b)={direction}: slope {result.slope:.4f}")
     elapsed = time.perf_counter() - start

@@ -121,6 +121,34 @@ def test_gap_curve_bad_range(capsys):
     assert code == 1
 
 
+def _numerical_failure(capsys, *argv):
+    """A command that must exit 2 with one failure line and no stdout."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("spheregap: numerical failure:") == 1
+
+
+def test_gap_curve_on_thin_lunes(capsys):
+    # the closed form stays finite down to beta ~ 3.5e-308, far below the
+    # beta ~ 2.3e-154 where the eigenvalues themselves overflow
+    code, out = _run(capsys, "gap-curve", "--domain", "lune", "--beta-min", "1e-300",
+                     "--beta-max", "1e-200", "--steps", "1", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows[0]["gap"] == 2.0 * (PI / 1e-300) + 2.0
+    assert all(math.isfinite(row["gap"]) for row in rows)
+    _numerical_failure(capsys, "gap-curve", "--domain", "lune", "--beta-min", "1e-320",
+                       "--beta-max", "1e-3", "--steps", "1")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_with_infinite_eigenvalues_fails(capsys, fmt):
+    _numerical_failure(capsys, "spectrum", "--domain", "lune", "--beta", "1e-300",
+                       "--format", fmt)
+
+
 # ------------------------------------------------------------ variation
 
 

@@ -16,9 +16,7 @@ import spheregap.fem as fem
 from spheregap.errors import ConvergenceError
 from spheregap.fem import assemble, gap_slope, numeric_gap, solve_smallest
 from spheregap.geometry import DeformationParams, metric_coefficients
-from spheregap.spectra import (LuneSpec, TriangleSpec, gap as closed_gap, gap_closed_form,
-                               gap_regime, spectrum)
-from spheregap.variation import remark_gap_curve
+from spheregap.spectra import LuneSpec, TriangleSpec, gap as closed_gap, gap_regime, spectrum
 
 PI = math.pi
 
@@ -216,11 +214,11 @@ def test_numeric_gap_and_exact_curve():
     assert abs(g0 - 18.0) < 0.01 * 18.0
     for a, b in ((0.0, 1.0), (1.0, 0.0)):
         g = numeric_gap(DeformationParams(a, b, 0.05), grid_n)
-        exact = remark_gap_curve(0.05)
-        assert abs(g - exact) < 0.01 * exact
         # the one-sided deformation is congruent to a narrower half-lune
-        # triangle, so the closed-form spectra give the same number
-        assert abs(exact - closed_gap(TriangleSpec(PI / 2 - 0.05))) < 1e-12
+        # triangle, whose gap is 4 pi / (pi/2 - t) + 10
+        exact = closed_gap(TriangleSpec(PI / 2 - 0.05))
+        assert abs(exact - (4.0 * PI / (PI / 2 - 0.05) + 10.0)) < 1e-12
+        assert abs(g - exact) < 0.01 * exact
 
 
 def test_gap_slope_axis_direction():
@@ -282,13 +280,13 @@ def test_assemble_rejects_beta_outside_the_open_interval(spec_type, beta):
 # beta / pi: thin domains, both sides of the lune and triangle crossovers
 # (beta = pi and pi/2), and a nearly full lune
 @pytest.mark.parametrize("spec_type", [LuneSpec, TriangleSpec])
-@pytest.mark.parametrize("beta_pi", [0.05, 0.1, 0.5, 0.99, 1.01, 1.9])
+@pytest.mark.parametrize("beta_pi", [0.02, 0.05, 0.1, 0.5, 0.99, 1.01, 1.9])
 def test_fem_gap_matches_closed_form_across_beta(spec_type, beta_pi):
     # the paper's first result, lune and triangle gaps across beta with the
     # blow-up as beta -> 0, checked by the FEM on the same spec object.
-    # Observed: Richardson error <= 2.8e-5 (lune, 0.05 pi), ratios 3.84-4.07
+    # Observed: Richardson error <= 3.7e-5 (triangle, 0.02 pi), ratios 3.84-4.07
     spec = spec_type(beta_pi * PI)
-    exact = gap_closed_form(spec)
+    exact = closed_gap(spec)
     errors = {}
     for n in (64, 128):
         vals, _ = solve_smallest(assemble(spec, n), 3)
@@ -314,7 +312,7 @@ def test_fem_mode_labels_follow_the_gap_regime(spec_type, beta_pi):
     spec = spec_type(beta_pi * PI)
     levels = spectrum(spec, 2)
     sizes = [len(entry.modes) for entry in levels]
-    picked = assemble(spec, 64)._separable._smallest(sum(sizes))
+    picked = assemble(spec, 64).factors._smallest(sum(sizes))
     labels = [(k, j) for _, k, j in picked]
     assert set(labels[:sizes[0]]) == {(m.k, m.j) for m in levels[0].modes}
     assert set(labels[sizes[0]:]) == {(m.k, m.j) for m in levels[1].modes}
@@ -330,7 +328,7 @@ _OFF_AXIS = DeformationParams(0.6, 0.8, 0.01)
 
 def test_residual_tolerance_enforced(monkeypatch):
     problem = assemble(_OFF_AXIS, 24)
-    assert problem._separable is None
+    assert not problem.separable
     monkeypatch.setattr(fem, "_RESIDUAL_TOL", 1e-300)
     with pytest.raises(ConvergenceError):
         solve_smallest(problem, 2)
@@ -429,7 +427,7 @@ def test_lobpcg_basis_stays_in_preallocated_buffers():
     # (3k, n) buffers, 18 blocks of k n doubles, and the preconditioner adds
     # a few more; concatenating a fresh basis every iteration peaked at 31
     problem = assemble(DeformationParams(0.6, 0.8, 0.05), 64)
-    reference = fem._separable_factors(fem._ROUND, TriangleSpec(PI / 2), 64)
+    reference = problem.factors
     k = reference.guard_block(4)
     start = np.ascontiguousarray(reference.eigenpairs(k)[1].T)
     first = fem._lobpcg(problem, start, reference.solve, 4)   # fills the caches
@@ -473,9 +471,11 @@ def test_round_problems_share_the_lobpcg_reference(monkeypatch):
                         lambda problem, start, precondition, m:
                         references.append(precondition.__self__)
                         or lobpcg(problem, start, precondition, m))
-    solve_smallest(assemble(DeformationParams(0.6, 0.8, 0.05), 24), 3)
-    round_factors = assemble(DeformationParams(0.6, 0.8, 0.0), 24)._separable
-    assert round_factors is assemble(DeformationParams(0.0, 1.0, 0.0), 24)._separable
+    deformed = assemble(DeformationParams(0.6, 0.8, 0.05), 24)
+    solve_smallest(deformed, 3)
+    round_factors = assemble(DeformationParams(0.6, 0.8, 0.0), 24).factors
+    assert round_factors is assemble(DeformationParams(0.0, 1.0, 0.0), 24).factors
+    assert deformed.factors is round_factors and not deformed.separable
     assert len(references) == 1 and references[0] is round_factors
 
 
@@ -572,7 +572,7 @@ _SEPARABLE_CASES = {
 
 def _separable_problem(case, n=10):
     problem = assemble(_SEPARABLE_CASES[case], n)
-    assert problem._separable is not None
+    assert problem.separable
     return problem
 
 
@@ -654,7 +654,7 @@ _DEFORMED_CASES = [
 @pytest.mark.parametrize("direction, t", _DEFORMED_CASES)
 def test_lobpcg_matches_dense_pencil(direction, t, n, m):
     problem = assemble(DeformationParams(*direction, t), n)
-    assert problem._separable is None
+    assert not problem.separable
     vals, vecs = solve_smallest(problem, m)
     ref_vals, _ = _dense_eigh(problem, m)
     assert vals.shape == (m,) and vecs.shape == (problem.num_dof, m)
@@ -669,7 +669,7 @@ def test_lobpcg_matches_dense_pencil(direction, t, n, m):
 def test_separable_inverse_is_exact(case):
     problem = _separable_problem(case, n=24)
     rhs = np.random.default_rng(7).standard_normal((3, problem.num_dof))
-    back = problem.stiffness @ problem._separable.solve(rhs).T
+    back = problem.stiffness @ problem.factors.solve(rhs).T
     assert np.max(np.linalg.norm(back - rhs.T, axis=0) / np.linalg.norm(rhs.T, axis=0)) <= 1e-12
 
 
@@ -720,13 +720,13 @@ def test_large_eigenvalues_meet_the_gate(monkeypatch, direction, t, n, m, shift_
 
 
 # the (0, 1) family is not separable, yet its gap has the exact form
-# remark_gap_curve(t) = 4 pi / (pi/2 - t) + 10 at every t. t = 0.3 runs
-# LOBPCG, t = 0.8 and 1.2 run shift-invert. Observed: relative errors
+# 4 pi / (pi/2 - t) + 10 of the half-lune triangle of angle pi/2 - t at
+# every t. t = 0.3 runs LOBPCG, t = 0.8 and 1.2 run shift-invert. Observed: relative errors
 # 2.4e-3, 5.0e-3 and 2.5e-2 at n = 48, ratios 4.00-4.09, h^2 constants
 # 2.65-3.45. At t = 1.4 the ratio (3.43) is still pre-asymptotic
 @pytest.mark.parametrize("t, shift_invert_calls", [(0.3, 0), (0.8, 1), (1.2, 1)])
 def test_numeric_gap_matches_exact_curve_at_large_t(monkeypatch, t, shift_invert_calls):
-    exact = remark_gap_curve(t)
+    exact = closed_gap(TriangleSpec(PI / 2 - t))
     calls = _count_shift_invert(monkeypatch)
     errors = {}
     for n in (48, 96):

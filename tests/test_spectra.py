@@ -2,6 +2,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +15,6 @@ from spheregap.spectra import (
     eigenfunction_eval,
     eigenvalue,
     gap,
-    gap_closed_form,
     gap_regime,
     legendre_params_for,
     normalization_constant,
@@ -123,12 +123,18 @@ def test_gap_examples():
     assert abs(gap(TriangleSpec(PI / 2 - t)) - expected) < 1e-12 * expected
 
 
+def _spectral_gap(spec):
+    """The definition of the gap, min(lambda(1, 1), lambda(2, 0)) - lambda(1, 0)."""
+    return (min(eigenvalue(spec, ModeIndex(1, 1)), eigenvalue(spec, ModeIndex(2, 0)))
+            - eigenvalue(spec, ModeIndex(1, 0)))
+
+
 def test_gap_matches_piecewise_closed_form():
     rng = np.random.default_rng(23)
     for beta in rng.uniform(0.02, 2.0 * PI - 0.02, size=50):
         for spec in (LuneSpec(float(beta)), TriangleSpec(float(beta))):
             g = gap(spec)
-            ref = gap_closed_form(spec)
+            ref = _spectral_gap(spec)
             assert abs(g - ref) <= 1e-12 * ref
 
 
@@ -147,12 +153,52 @@ def test_gap_divergence_as_angle_shrinks():
     betas = np.logspace(math.log10(3.0), -4, 30)
     gaps = np.array([gap(LuneSpec(float(b))) for b in betas])
     assert np.all(np.diff(gaps) > 0.0)  # decreasing beta, increasing gap
-    # tolerance leaves room for the eigenvalue cancellation at tiny beta,
-    # where lambda ~ 1e9 but the gap is only ~1e5
     for b, g in zip(betas, gaps):
         if b <= PI:
-            assert abs(g - (2.0 * PI / b + 2.0)) <= 1e-9 * g
+            assert abs(g - (2.0 * PI / b + 2.0)) <= 2.0 * math.ulp(g)
     assert gaps[-1] > 2.0 * PI * 1e4
+
+
+def _mp_gap(spec):
+    """min(lambda(1, 1), lambda(2, 0)) - lambda(1, 0) in mpmath, with 50
+    digits to spare beyond the cancellation of eigenvalues of size x^2,
+    x = pi/beta, to a gap of size x."""
+    digits = 50 + 2 * max(0, math.ceil(-math.log10(spec.beta)))
+    with mpmath.workdps(digits):
+        x = mpmath.pi / mpmath.mpf(spec.beta)
+        # the degree k x + j (lune) or k x + 2j + 1 (triangle) of mode (k, j)
+        step, shift = (1, 0) if isinstance(spec, LuneSpec) else (2, 1)
+
+        def lam(k, j):
+            degree = k * x + step * j + shift
+            return degree * (degree + 1)
+
+        return min(lam(1, 1), lam(2, 0)) - lam(1, 0)
+
+
+@pytest.mark.parametrize("spec_type", [LuneSpec, TriangleSpec])
+@pytest.mark.parametrize("beta", [1e-2, 1e-4, 1e-6, 1e-10, 1e-14, 1e-100, 1e-300])
+def test_gap_on_thin_domains_is_exact_to_rounding(spec_type, beta):
+    # lambda_1 and lambda_2 are of size x^2 and the gap of size x: their
+    # difference in floats would lose about log10(x) digits, then overflow
+    spec = spec_type(beta)
+    exact = _mp_gap(spec)
+    assert abs(mpmath.mpf(gap(spec)) - exact) <= 4 * math.ulp(float(exact))
+
+
+def test_gap_and_eigenvalues_raise_where_they_overflow():
+    with pytest.raises(DomainError, match="not finite"):
+        gap(LuneSpec(1e-320))
+    with pytest.raises(DomainError, match="not finite"):
+        gap(TriangleSpec(5e-308))
+    # l(l+1) overflows below beta ~ 2.3e-154, while the gap does not
+    assert math.isfinite(gap(LuneSpec(1e-300)))
+    for spec in (LuneSpec(1e-300), TriangleSpec(1e-300)):
+        with pytest.raises(DomainError, match="not finite"):
+            eigenvalue(spec, ModeIndex(1, 0))
+        with pytest.raises(DomainError):
+            spectrum(spec, 3)
+    assert math.isfinite(eigenvalue(LuneSpec(1e-150), ModeIndex(1, 0)))
 
 
 def test_triangle_spectrum_within_lune_spectrum():

@@ -7,15 +7,15 @@ import pytest
 
 import spheregap.variation as variation
 from spheregap.quadrature import gauss_legendre
-from spheregap.spectra import TriangleSpec, gap_closed_form
+from spheregap.spectra import TriangleSpec, gap
 from spheregap.variation import (
     C1,
     C2,
     C3,
+    MIN_GAP_VARIATION,
     AppendixReport,
     BilinearTermTable,
     PairingSpec,
-    gap_slope_reference,
     gap_variation_grid,
     gap_variation_table,
     gap_variation_I,
@@ -23,7 +23,6 @@ from spheregap.variation import (
     lambda1_dot,
     minimize_gap_variation,
     pairing_terms,
-    remark_gap_curve,
     second_eigenvalue_form,
     verify_appendix,
 )
@@ -217,14 +216,17 @@ def test_variation_lower_bound_everywhere():
 
 
 def test_slope_reference_consistency():
-    ref = gap_slope_reference()
-    assert abs(ref - 16.0 / PI) < 1e-12
+    # d/dt [4 pi / (pi/2 - t) + 10] at t = 0
+    ref = 4.0 * PI / (PI / 2.0) ** 2
+    assert abs(ref - MIN_GAP_VARIATION) < 1e-12
     assert abs(minimize_gap_variation(500, 500).value - ref) < 1e-12
-    # finite-difference slope of the exact one-sided gap curve
+    # one-sided difference of the exact gap curve, the gap of the half-lune
+    # triangle of angle pi/2 - t: for t < 0 the angle passes pi/2 and the
+    # other branch, of slope 60/pi, takes over
     h = 1e-6
-    fd = (remark_gap_curve(h) - remark_gap_curve(-h)) / (2 * h)
+    fd = (gap(TriangleSpec(PI / 2 - h)) - gap(TriangleSpec(PI / 2))) / h
     assert abs(fd - ref) < 1e-4
-    assert remark_gap_curve(0.0) == 18.0
+    assert gap(TriangleSpec(PI / 2)) == 18.0
 
 
 def _exact_gap_slope(a, b):
@@ -250,12 +252,6 @@ def test_grid_columns_attain_the_exact_slope():
     assert exact[0] == pytest.approx(16.0 / PI, abs=1e-14)
     assert exact[-1] == pytest.approx(16.0 / PI, abs=1e-14)
     assert np.all(exact[1:-1] > 16.0 / PI)
-
-
-def test_exact_gap_curve_is_the_half_lune_triangle_gap():
-    # along (1, 0) T(t) is the half-lune triangle of angle pi/2 - t
-    for t in np.linspace(0.0, PI / 2, 1500, endpoint=False).tolist():
-        assert remark_gap_curve(t) == gap_closed_form(TriangleSpec(PI / 2 - t)), t
 
 
 # ------------------------------------------------------------ verification
