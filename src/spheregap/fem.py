@@ -75,6 +75,9 @@ _LOBPCG_MAX_ITER = 50
 _ARPACK_TOL = 1e-12
 # consecutive t = 0 eigenvalues closer than this (relative) share a cluster
 _CLUSTER_GAP = 0.1
+# cell rows per slab of the assembly: at n = 256 the Gauss-point fields of
+# a slab take about 1 MB, against 17 MB for the element blocks of the grid
+_SLAB_ROWS = 16
 
 
 class StencilMatrix:
@@ -235,13 +238,18 @@ class _SeparableFactors:
                             key=lambda pair: pair[0])[:count]
         return picked
 
-    def eigenpairs(self, count: int):
-        """count smallest eigenpairs of the 2D pencil, ascending, M-normalized."""
+    def eigenpairs(self, count: int, out: np.ndarray = None):
+        """count smallest eigenpairs of the 2D pencil, ascending, M-normalized:
+        (values, vectors), the vectors the columns of a new array, or of
+        out.T when out, a (count, n) block, is given."""
         picked = self._smallest(count)
         sines = self._theta_modes[1]
-        vecs = np.empty((len(self.mass_r) * self.n_theta, len(picked)))
-        for out, (_, k, c) in enumerate(picked):
-            vecs[:, out] = np.kron(self._mode(k)[1][:, c], sines[:, k - 1])
+        size = len(self.mass_r) * self.n_theta
+        vecs = np.empty((size, len(picked))) if out is None else out.T
+        for vec, (_, k, c) in zip(vecs.T, picked):
+            # the Kronecker product of the radial and the sine vector
+            np.multiply.outer(self._mode(k)[1][:, c], sines[:, k - 1],
+                              out=vec.reshape(-1, self.n_theta))
         return np.array([lam for lam, _, _ in picked]), vecs
 
     def guard_block(self, m: int) -> int:
@@ -271,20 +279,26 @@ class _SeparableFactors:
             pivot[i] -= lower[i] * off[i - 1]
         return lower, pivot
 
-    def solve(self, rows: np.ndarray) -> np.ndarray:
+    def solve(self, rows: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """K^{-1} applied to every row of a (k, n) block: a sine transform in
         theta, one tridiagonal solve per theta mode, the inverse transform;
-        the sweeps run in place along axis 1 of the (k, n_r, n_theta) block."""
+        the sweeps run in place along axis 1 of the (k, n_r, n_theta) block.
+        The inverse transform writes to out, a C-contiguous (k, n) block,
+        when it is given."""
         sines = self._theta_modes[1]
         n_t = self.n_theta
         lower, pivot = self._ldl
         z = (rows.reshape(-1, n_t) @ sines).reshape(len(rows), -1, n_t)
         for i in range(1, len(lower)):
             z[:, i] -= lower[i] * z[:, i - 1]
-        z /= pivot
+        for zk in z:   # per row: a broadcast division takes a 64 kB buffer
+            zk /= pivot
         for i in range(len(lower) - 2, -1, -1):
             z[:, i] -= lower[i + 1] * z[:, i + 1]
-        return (z.reshape(-1, n_t) @ sines.T).reshape(len(rows), -1)
+        if out is None:
+            out = np.empty_like(rows)
+        np.matmul(z.reshape(-1, n_t), sines.T, out=out.reshape(-1, n_t))
+        return out
 
 
 @dataclass
@@ -407,6 +421,11 @@ def assemble(domain, grid_n: int) -> DiscreteEigenproblem:
     spans the rectangle [0, r_max] x [0, beta]; the triangle has a Dirichlet
     edge at r = r_max = pi/2, the lune pole edges at r = 0 and r = pi.
     Any other domain raises TypeError.
+
+    The metric is sampled at the Gauss points of _SLAB_ROWS rows of cells
+    at a time, and the element blocks of each slab are written into arrays
+    for the whole grid. _stencil sums those in one pass, in the order a
+    whole-grid sampling would, so K and M do not depend on the slab size.
     """
     # numbers.Integral covers int and the numpy integer types
     if not isinstance(grid_n, numbers.Integral) or grid_n < 8:
@@ -432,15 +451,18 @@ def assemble(domain, grid_n: int) -> DiscreteEigenproblem:
     # _reference_basis
     rq = (cells[:, None, None, None] + _GAUSS3_NODES[:, None]) * hx
     tq = (cells[:, None, None] + _GAUSS3_NODES) * hy
-    w11, w12, w22, m = (f.reshape(nc * nc, 9) for f in metric_coefficients(params, rq, tq))
     scale = wq[None, :] * (hx * hy)
-    kloc, mloc = _local_matrices(
-        w11 * scale / hx**2,
-        w12 * scale / (hx * hy),
-        w22 * scale / hy**2,
-        m * scale,
-        phi, dphx, dphy,
-    )
+    kloc, mloc = np.empty((nc * nc, 4, 4)), np.empty((nc * nc, 4, 4))
+    # every value is computed by the same operations as on the whole grid
+    for lo in range(0, nc, _SLAB_ROWS):
+        hi = min(lo + _SLAB_ROWS, nc)
+        w11, w12, w22, m = (f.reshape(-1, 9) * scale
+                            for f in metric_coefficients(params, rq[lo:hi], tq))
+        w11 /= hx**2
+        w12 /= hx * hy
+        w22 /= hy**2
+        kloc[lo * nc:hi * nc], mloc[lo * nc:hi * nc] = _local_matrices(
+            w11, w12, w22, m, phi, dphx, dphy)
     stiffness, mass = _stencil(kloc, n, n_r), _stencil(mloc, n, n_r)
     if mass.diagonal().min() <= 0:
         raise AssemblyError("mass matrix lost positivity after Dirichlet elimination")
@@ -474,8 +496,10 @@ def _ritz(gram_a, gram_b, k):
     return vals[:k], to_orth @ vecs[:, :k]
 
 
-def _lobpcg(problem: DiscreteEigenproblem, start: np.ndarray, precondition, m: int):
-    """m smallest eigenpairs by block LOBPCG from the (k, n) start block.
+def _lobpcg(problem: DiscreteEigenproblem, k: int, m: int):
+    """m smallest eigenpairs by block LOBPCG over k >= m rows, with
+    problem.factors, those of the t = 0 problem of its grid: started from
+    their k smallest eigenvectors and preconditioned by their exact K0^-1.
 
     The m leading pairs must reach ||r|| <= tol ||M v||, with tol
     min(_RESIDUAL_TOL, _LOBPCG_RTOL |lambda|), so a returned pair always
@@ -485,37 +509,40 @@ def _lobpcg(problem: DiscreteEigenproblem, start: np.ndarray, precondition, m: i
     _LOBPCG_MAX_ITER iterations, or when the Rayleigh-Ritz step breaks down
     (LinAlgError).
 
-    The basis [x | w | p] and its K- and M-images live in two sets of
-    preallocated (3k, n) buffers that take turns. In the current set, rows
-    [0, k) hold x, the search directions w of the active pairs follow it
-    and the active rows of p follow w; the Rayleigh-Ritz step reads that
-    set and writes the new x to rows [0, k) and the new p to rows [2k, 3k)
-    of the other one, which then becomes current.
+    The basis [x | w | p] and its K- and M-images live in one set of
+    preallocated (3k, n) buffers: rows [0, k) hold x, the search directions
+    w of the active pairs follow it and the active rows of p follow w. The
+    Rayleigh-Ritz step writes the new x and p to two (k, n) scratch blocks
+    and copies them to rows [0, k) and [2k, 3k), one buffer at a time; the
+    scratch blocks also hold the active residuals and the projections that
+    keep w M-orthogonal to x.
     """
     stiff, mass = problem.stiffness.apply_rows, problem.mass.apply_rows
-    k, n = start.shape
-    # each set is (basis, K basis, M basis)
-    cur, nxt = ([np.empty((3 * k, n)) for _ in range(3)] for _ in range(2))
-    cur[0][:k] = start
-    stiff(start, out=cur[1][:k])
-    mass(start, out=cur[2][:k])
+    n = problem.num_dof
+    # the basis, its K-image and its M-image
+    basis = [np.empty((3 * k, n)) for _ in range(3)]
+    scratch = np.empty((2, k, n))
+    problem.factors.eigenpairs(k, out=basis[0][:k])
+    stiff(basis[0][:k], out=basis[1][:k])
+    mass(basis[0][:k], out=basis[2][:k])
     used = k
     for it in range(_LOBPCG_MAX_ITER + 1):
-        s, as_, bs = (block[:used] for block in cur)
+        s, as_, bs = (block[:used] for block in basis)
         try:
             vals, coef = _ritz(s @ as_.T, s @ bs.T, k)
         except np.linalg.LinAlgError:
             return None
         # the new Ritz vectors, and their part outside the old ones
-        for old, new in zip(cur, nxt):
-            np.matmul(coef.T, old[:used], out=new[:k])
-            if used > k:
-                np.matmul(coef[k:].T, old[k:used], out=new[2 * k:])
         has_p = used > k
-        cur, nxt = nxt, cur
-        x, ax, bx = (block[:k] for block in cur)
+        for block in basis:
+            np.matmul(coef.T, block[:used], out=scratch[0])
+            if has_p:
+                np.matmul(coef[k:].T, block[k:used], out=scratch[1])
+                block[2 * k:] = scratch[1]
+            block[:k] = scratch[0]
+        x, ax, bx = (block[:k] for block in basis)
         # the residuals, in rows that w overwrites once they are used
-        r = np.multiply(vals[:, None], bx, out=cur[0][k:2 * k])
+        r = np.multiply(vals[:, None], bx, out=basis[0][k:2 * k])
         np.subtract(ax, r, out=r)
         res = np.linalg.norm(r, axis=1) / np.linalg.norm(bx, axis=1)
         active = res > np.minimum(_RESIDUAL_TOL, _LOBPCG_RTOL * np.abs(vals))
@@ -524,15 +551,17 @@ def _lobpcg(problem: DiscreteEigenproblem, start: np.ndarray, precondition, m: i
         if it == _LOBPCG_MAX_ITER:
             return None
         na = np.count_nonzero(active)
-        w = cur[0][k:k + na]
-        w[...] = precondition(r[active])
-        w -= (w @ bx.T) @ x      # M-orthogonal to the current Ritz vectors
-        stiff(w, out=cur[1][k:k + na])
-        mass(w, out=cur[2][k:k + na])
+        w = basis[0][k:k + na]
+        problem.factors.solve(np.compress(active, r, axis=0, out=scratch[0][:na]), out=w)
+        # M-orthogonal to the current Ritz vectors
+        w -= np.matmul(w @ bx.T, x, out=scratch[1][:na])
+        stiff(w, out=basis[1][k:k + na])
+        mass(w, out=basis[2][k:k + na])
         used = k + na
         if has_p:
-            for block in cur:
-                block[used:used + na] = block[2 * k:][active]
+            for block in basis:
+                block[used:used + na] = np.compress(active, block[2 * k:], axis=0,
+                                                    out=scratch[0][:na])
             used += na
 
 
@@ -568,13 +597,11 @@ def _solve_deformed(problem: DiscreteEigenproblem, m: int):
     residual gate: one that reaches its cap, as it does near the largest t
     of a direction, where K0 no longer preconditions K(t), or whose
     Rayleigh-Ritz step breaks down."""
-    reference = problem.factors
-    block = reference.guard_block(m)
+    block = problem.factors.guard_block(m)
     if 3 * block > problem.num_dof:
         vals, vecs = _pencil_eigh(problem.stiffness.toarray(), problem.mass.toarray())
         return vals[:m], vecs[:, :m]
-    start = np.ascontiguousarray(reference.eigenpairs(block)[1].T)
-    found = _lobpcg(problem, start, reference.solve, m)
+    found = _lobpcg(problem, block, m)
     return _shift_invert(problem, m) if found is None else found
 
 

@@ -21,7 +21,12 @@ from functools import cache
 
 from .errors import ConvergenceError, DomainError
 
-COALESCE_RTOL = 1e-9
+# modes whose eigenvalues lie within this many ulps of a level's smallest
+# one join that level: coincident degrees at rational beta / pi differ by
+# rounding alone (at most 4 ulps of lambda observed), while neighbouring
+# levels differ by about 2 beta / pi relative, which stays above it down to
+# beta of about 1e-14
+COALESCE_ULPS = 8
 
 # Gauss-Legendre points per axis of the normalization integral
 _NORM_NODES = 200
@@ -108,14 +113,15 @@ def spectrum(spec, count: int) -> list:
     (count, 0) are count distinct values, and so are (1, 0) .. (1, count - 1):
     every mode of the count smallest distinct eigenvalues has k <= count and
     j < count, and the returned mode lists are complete. Modes whose values
-    differ by less than COALESCE_RTOL (relative) are reported as one entry.
+    differ by at most COALESCE_ULPS ulps are reported as one entry; below
+    beta of about 1e-14 neighbouring lune levels come that close and merge.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     entries = []
     for lam, k, j in sorted((eigenvalue(spec, ModeIndex(k, j)), k, j)
                             for k in range(1, count + 1) for j in range(count)):
-        if entries and lam - entries[-1][0] <= COALESCE_RTOL * max(1.0, lam):
+        if entries and lam - entries[-1][0] <= COALESCE_ULPS * math.ulp(lam):
             entries[-1][1].append(ModeIndex(k, j))
         elif len(entries) == count:
             break

@@ -34,6 +34,12 @@ def _dense_eigh(problem, m):
     return vals, vecs
 
 
+# environment of a subprocess whose BLAS runs one thread, which fixes the
+# summation order that the bits depend on
+_ONE_THREAD = {var: "1" for var in ("SPHEREGAP_THREADS", "OMP_NUM_THREADS",
+                                    "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
 def _count_shift_invert(monkeypatch):
     """A list that gains one entry per call of fem._shift_invert."""
     calls = []
@@ -423,31 +429,29 @@ def test_lobpcg_bitwise_across_processes():
 
 
 def test_lobpcg_basis_stays_in_preallocated_buffers():
-    # the basis [x | w | p] and its K- and M-images fill two sets of three
-    # (3k, n) buffers, 18 blocks of k n doubles, and the preconditioner adds
-    # a few more; concatenating a fresh basis every iteration peaked at 31
+    # the basis [x | w | p] and its K- and M-images fill one set of three
+    # (3k, n) buffers, 9 blocks of k n doubles, with two scratch blocks and
+    # the preconditioner's transform besides (12.4 observed); two sets that
+    # took turns peaked at 21, a fresh basis every iteration at 31
     problem = assemble(DeformationParams(0.6, 0.8, 0.05), 64)
-    reference = problem.factors
-    k = reference.guard_block(4)
-    start = np.ascontiguousarray(reference.eigenpairs(k)[1].T)
-    first = fem._lobpcg(problem, start, reference.solve, 4)   # fills the caches
+    k = problem.factors.guard_block(4)
+    first = fem._lobpcg(problem, k, 4)   # fills the caches
     tracemalloc.start()
     try:
-        vals, vecs = fem._lobpcg(problem, start, reference.solve, 4)
+        vals, vecs = fem._lobpcg(problem, k, 4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert k == 6
     assert np.array_equal(vals, first[0]) and np.array_equal(vecs, first[1])
-    assert peak <= 25 * k * problem.num_dof * 8
+    assert peak <= 15 * k * problem.num_dof * 8
 
 
 def test_gap_slope_solves_each_radial_pencil_once():
     # the t = 0 baseline and the LOBPCG reference of its grid share one set
     # of factors, so each theta mode's radial pencil is solved once (two
     # sets of factors took 7 solves). A fresh process starts from an empty
-    # factor cache, and one BLAS thread fixes the summation order that the
-    # bits depend on
+    # factor cache
     code = (
         "import spheregap.fem as fem\n"
         "calls = []\n"
@@ -457,20 +461,34 @@ def test_gap_slope_solves_each_radial_pencil_once():
         "                  [0.019222, 0.009611, 0.0048055], 96)\n"
         "print(len(calls), r.slope.hex())\n"
     )
-    one_thread = {var: "1" for var in ("SPHEREGAP_THREADS", "OMP_NUM_THREADS",
-                                       "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, **one_thread})
+                         check=True, env={**os.environ, **_ONE_THREAD})
     assert out.stdout.split() == ["4", "0x1.853eabd11a1c5p+3"]
+
+
+def test_lobpcg_eigenvalues_keep_their_bits():
+    # pinned bits of an off-axis LOBPCG solve with one BLAS thread: the
+    # buffer handling of the solver and the slabs of the assembly must not
+    # move them
+    code = (
+        "import spheregap.fem as fem\n"
+        "from spheregap.geometry import DeformationParams\n"
+        "p = fem.assemble(DeformationParams(0.6, 0.8, 0.05), 64)\n"
+        "v, _ = fem.solve_smallest(p, 4)\n"
+        "print(*(float(x).hex() for x in v))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, **_ONE_THREAD})
+    assert out.stdout.split() == ["0x1.94bb57613b955p+3", "0x1.f45f7476617aep+4",
+                                  "0x1.fd097ee26f195p+4", "0x1.d09cc377b92ebp+5"]
 
 
 def test_round_problems_share_the_lobpcg_reference(monkeypatch):
     references = []
     lobpcg = fem._lobpcg
     monkeypatch.setattr(fem, "_lobpcg",
-                        lambda problem, start, precondition, m:
-                        references.append(precondition.__self__)
-                        or lobpcg(problem, start, precondition, m))
+                        lambda problem, k, m: references.append(problem.factors)
+                        or lobpcg(problem, k, m))
     deformed = assemble(DeformationParams(0.6, 0.8, 0.05), 24)
     solve_smallest(deformed, 3)
     round_factors = assemble(DeformationParams(0.6, 0.8, 0.0), 24).factors
@@ -480,20 +498,22 @@ def test_round_problems_share_the_lobpcg_reference(monkeypatch):
 
 
 def test_separable_solve_makes_no_transposed_copy():
-    # the sine transform keeps the row layout, and the sweeps run on it in
-    # place: the transform and the result are the only input-sized blocks,
-    # where a transposed copy of the transform peaked at 3.0
+    # the sine transform keeps the row layout, the sweeps run on it in place
+    # and the inverse transform writes to out: the transform is the only
+    # input-sized block, where a fresh result took 2.0 and a transposed copy
+    # of the transform 3.0
     reference = fem._separable_factors(fem._ROUND, TriangleSpec(PI / 2), 64)
     rows = np.random.default_rng(3).standard_normal((6, 63 * 62))
     first = reference.solve(rows)   # builds the cached sines and LDL^T factors
+    out = np.empty_like(rows)
     tracemalloc.start()
     try:
-        again = reference.solve(rows)
+        again = reference.solve(rows, out=out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(again, first)
-    assert peak <= 2.2 * rows.nbytes
+    assert again is out and np.array_equal(again, first)
+    assert peak <= 1.2 * rows.nbytes
 
 
 def test_gap_solves_converge_three_pairs(monkeypatch):
@@ -501,8 +521,7 @@ def test_gap_solves_converge_three_pairs(monkeypatch):
     rows = []
     lobpcg = fem._lobpcg
     monkeypatch.setattr(fem, "_lobpcg",
-                        lambda problem, start, *args: rows.append(len(start))
-                        or lobpcg(problem, start, *args))
+                        lambda problem, k, m: rows.append(k) or lobpcg(problem, k, m))
     direction, ts, n = (0.6, 0.8), [0.02, 0.01, 0.005], 24
     result = gap_slope(direction, ts, n)
     assert rows == [3, 3, 3]
@@ -557,6 +576,54 @@ def test_assembly_matches_pointwise_sampling(n, direction):
         pattern = ref != 0
         assert np.array_equal(got != 0, pattern)
         assert np.max(np.abs(got[pattern] - ref[pattern]) / np.abs(ref[pattern])) <= 1e-15
+
+
+def _whole_grid_stencils(domain, n):
+    """K and M coefficients from the Gauss-point fields of the whole grid at
+    once, summed into the stencils in the same order as assemble."""
+    if isinstance(domain, DeformationParams):
+        params, spec = domain, TriangleSpec(PI / 2)
+    else:
+        params, spec = fem._ROUND, domain
+    n_r = n if isinstance(spec, LuneSpec) else n - 1
+    hx, hy = spec.r_max / (n - 1), spec.beta / (n - 1)
+    wq, phi, dphx, dphy = fem._reference_basis()
+    cells = np.arange(n - 1)
+    rq = (cells[:, None, None, None] + fem._GAUSS3_NODES[:, None]) * hx
+    tq = (cells[:, None, None] + fem._GAUSS3_NODES) * hy
+    w11, w12, w22, m = (f.reshape(-1, 9) for f in metric_coefficients(params, rq, tq))
+    scale = wq[None, :] * (hx * hy)
+    kloc, mloc = fem._local_matrices(w11 * scale / hx**2, w12 * scale / (hx * hy),
+                                     w22 * scale / hy**2, m * scale, phi, dphx, dphy)
+    return fem._stencil(kloc, n, n_r).coef, fem._stencil(mloc, n, n_r).coef
+
+
+@pytest.mark.parametrize("n", [8, 17, 40])
+@pytest.mark.parametrize("domain", [
+    TriangleSpec(PI / 2), LuneSpec(0.3 * PI), DeformationParams(0.6, 0.8, 0.05),
+    DeformationParams(0.0, 1.0, 0.3), DeformationParams(math.cos(0.7), math.sin(0.7), 1.2),
+])
+def test_slab_assembly_equals_the_whole_grid_bitwise(domain, n):
+    # n = 8 is a single partial slab, n = 17 one full slab, n = 40 ends on a
+    # partial one
+    assert (n - 1) % fem._SLAB_ROWS or n - 1 == fem._SLAB_ROWS
+    problem = assemble(domain, n)
+    stiffness, mass = _whole_grid_stencils(domain, n)
+    assert np.array_equal(problem.stiffness.coef, stiffness)
+    assert np.array_equal(problem.mass.coef, mass)
+
+
+def test_assembly_peak_stays_within_nine_stencils():
+    # the Gauss-point fields of one slab of cell rows at a time: 6.9 stencil
+    # sizes (3 x 3 x n x n doubles) observed, 13.2 with the whole grid's
+    n = 128
+    tracemalloc.start()
+    try:
+        assemble(DeformationParams(0.6, 0.8, 0.05), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * (9 * n * n * 8)
 
 
 _SEPARABLE_CASES = {

@@ -107,6 +107,17 @@ def test_spectrum_matches_brute_force(spec):
         assert modes_a == modes_b
 
 
+@pytest.mark.parametrize("spec_type", [LuneSpec, TriangleSpec])
+@pytest.mark.parametrize("beta", [1e-8, 1e-9, 1e-10])
+def test_spectrum_keeps_thin_levels_apart(spec_type, beta):
+    # neighbouring levels (1, j) differ by about 2 beta / pi relative (twice
+    # that for the triangle), far more than rounding; a relative coalescing
+    # tolerance of 1e-9 merged them on lunes from beta = 1e-9 on
+    spec = spec_type(beta)
+    got = _as_tuples(spectrum(spec, 3))
+    assert got == [(eigenvalue(spec, ModeIndex(1, j)), [(1, j)]) for j in range(3)]
+
+
 def test_spectrum_count_validation():
     with pytest.raises(ValueError):
         spectrum(TriangleSpec(PI / 2), 0)

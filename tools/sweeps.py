@@ -1,0 +1,70 @@
+"""FEM sweeps A and B near the largest deformation of each direction.
+
+Run from a source checkout, which it imports from ./src:
+
+    python tools/sweeps.py > sweeps.txt     # 3 to 5 minutes
+
+Every solve writes one line: the sweep, n, a, b, t and m, then either the m
+eigenvalues of `fem.solve_smallest` in float.hex or the error it raised. The
+BLAS runs one thread, so two checkouts whose FEM solves agree bit for bit
+write the same bytes, and `cmp` of the two files compares them.
+
+Sweep A (1920 solves): n in {12, 16, 20, 24, 32}; (a, b) = (cos phi, sin phi)
+for 8 phi from linspace(0.05, pi/2 - 0.05, 8); t = f (pi/2) / max(a, b) for
+f in linspace(0.85, 0.98, 6); m = 1 .. 8 on one assembled problem.
+
+Sweep B (2250 solves): n in {16, 24, 32, 48, 64}; the directions (0, 1),
+(0.6, 0.8), (cos 0.7, sin 0.7), (0.8, 0.6), (1/sqrt 2, 1/sqrt 2) and
+(0.96, 0.28); f in linspace(0.5, 0.99, 15); m in {1, 2, 3, 4, 6}.
+"""
+import math
+import os
+import sys
+from pathlib import Path
+
+# one BLAS thread: the last bits of an eigenvalue depend on the thread count,
+# and a BLAS reads its thread variables when numpy loads
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from spheregap.errors import SphereGapError  # noqa: E402
+from spheregap.fem import assemble, solve_smallest  # noqa: E402
+from spheregap.geometry import DeformationParams  # noqa: E402
+
+
+def _sweep_a():
+    for n in (12, 16, 20, 24, 32):
+        for phi in np.linspace(0.05, math.pi / 2 - 0.05, 8):
+            for f in np.linspace(0.85, 0.98, 6):
+                yield n, (math.cos(phi), math.sin(phi)), float(f), range(1, 9)
+
+
+def _sweep_b():
+    directions = ((0.0, 1.0), (0.6, 0.8), (math.cos(0.7), math.sin(0.7)), (0.8, 0.6),
+                  (1 / math.sqrt(2), 1 / math.sqrt(2)), (0.96, 0.28))
+    for n in (16, 24, 32, 48, 64):
+        for direction in directions:
+            for f in np.linspace(0.5, 0.99, 15):
+                yield n, direction, float(f), (1, 2, 3, 4, 6)
+
+
+def run(name, sweep, out):
+    for n, (a, b), f, modes in sweep():
+        t = f * (math.pi / 2) / max(a, b)
+        problem = assemble(DeformationParams(a, b, t), n)
+        for m in modes:
+            head = f"{name} n={n} a={a.hex()} b={b.hex()} t={t.hex()} m={m}"
+            try:
+                vals, _ = solve_smallest(problem, m)
+            except SphereGapError as exc:
+                out.write(f"{head} {type(exc).__name__}: {exc}\n")
+            else:
+                out.write(f"{head} {' '.join(float(v).hex() for v in vals)}\n")
+
+
+if __name__ == "__main__":
+    run("A", _sweep_a, sys.stdout)
+    run("B", _sweep_b, sys.stdout)
