@@ -1,7 +1,9 @@
 """Dirichlet spectra and fundamental-gap analysis of spherical lunes and
 half-lune triangles: closed-form eigenvalues and eigenfunctions, the exact
-first variation of the gap at the right-angled equilateral triangle, and an
-independent finite-element cross-check on the deformed domains.
+first variation of the gap at the right-angled equilateral triangle (from
+closed-form pairing totals, which a quadrature of the five terms of the
+first-order operator checks), and an independent finite-element
+cross-check on the deformed domains.
 
 Importing the package loads its error types only. Every other public name
 and submodule is imported on first access, through the table `_LAZY`.
@@ -18,7 +20,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     GammaPoleError,
-    SingularPointError,
     SphereGapError,
 )
 
@@ -41,16 +42,14 @@ __version__ = "0.1.0"
 _LAZY = {
     name: module
     for module, names in (
-        ("geometry", ("CoordPoint", "DeformationParams", "FieldSample", "MetricTensor",
-                      "apex_offset", "deform_jacobian", "deform_map",
-                      "first_order_operator_apply", "pullback_metric", "side_distance")),
+        ("geometry", ("DeformationParams", "apex_offset", "side_distance")),
         ("special", ("LegendreParams", "gamma_fn", "legendre_p", "legendre_p_at_zero",
                      "legendre_p_dx")),
         ("spectra", ("LuneSpec", "ModeIndex", "SpectrumEntry", "TriangleSpec",
                      "eigenfunction_eval", "eigenvalue", "gap", "normalization_constant",
                      "spectrum")),
-        ("variation", ("BilinearTermTable", "PairingSpec", "gap_variation_I", "lambda1_dot",
-                       "minimize_gap_variation", "pairing_terms", "verify_appendix")),
+        ("variation", ("BilinearTermTable", "PairingSpec", "gap_variation_table",
+                       "lambda1_dot", "pairing_terms", "verify_appendix")),
         ("fem", ("DiscreteEigenproblem", "GapSlopeResult", "assemble", "gap_slope",
                  "numeric_gap", "solve_smallest")),
         ("quadrature", ()),

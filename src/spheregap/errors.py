@@ -13,10 +13,6 @@ class DomainError(SphereGapError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class SingularPointError(SphereGapError, ValueError):
-    """Operation requested at a coordinate-singular point (the pole r = 0)."""
-
-
 class ConvergenceError(SphereGapError, RuntimeError):
     """An iterative computation stopped short of the requested tolerance.
 

@@ -684,7 +684,8 @@ def gap_slope(direction, t_values, grid_n: int) -> GapSlopeResult:
     """Richardson-extrapolated slope of the gap (Gamma(t) - Gamma(0)) / t,
     each gap solved on a grid_n x grid_n grid.
 
-    t_values must be positive and decreasing. Every solve converges the
+    t_values must be at least two positive values in strictly decreasing
+    order, since one t allows no extrapolation. Every solve converges the
     _GAP_MODES = 3 pairs the gap uses: lambda_1 and the lambda_2 pair. The
     second eigenvalue at t = 0 is discretely split (multiplicity 2 in the
     continuum); the baseline uses the Rayleigh-weighted combination of the
@@ -694,8 +695,9 @@ def gap_slope(direction, t_values, grid_n: int) -> GapSlopeResult:
     t its start vectors and preconditioner, so they are built once.
     """
     ts = [float(t) for t in t_values]
-    if not (ts and all(t > 0 for t in ts) and all(t1 > t2 for t1, t2 in zip(ts, ts[1:]))):
-        raise ValueError("t_values must be positive and strictly decreasing")
+    if not (len(ts) >= 2 and all(t > 0 for t in ts)
+            and all(t1 > t2 for t1, t2 in zip(ts, ts[1:]))):
+        raise ValueError("t_values must be positive and strictly decreasing (at least two)")
     a, b = direction
 
     problem0 = assemble(DeformationParams(a, b, 0.0), grid_n)
@@ -722,7 +724,7 @@ def gap_slope(direction, t_values, grid_n: int) -> GapSlopeResult:
     levels = _neville_to_zero(ts, slopes)
     slope = levels[-1]
     corrections = [abs(levels[i + 1] - levels[i]) for i in range(len(levels) - 1)]
-    error_estimate = corrections[-1] if corrections else math.inf
+    error_estimate = corrections[-1]
     warning = len(corrections) >= 2 and corrections[-1] > corrections[-2]
     return GapSlopeResult(
         slope=slope,

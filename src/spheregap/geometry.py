@@ -11,15 +11,14 @@ where A = 2 a t / pi, z = z(a, b, t) is the apex offset angle, and
 l(alpha, theta) is the spherical side-length function below. Pulling the
 round metric back through F_t turns the eigenvalue problem on T(t) into a
 variable-coefficient problem on the rectangle; this module supplies the
-exact pullback metric, its determinant and inverse factors, and the
-first-order (in t) correction operator to the Laplacian.
+weak-form coefficient fields of the exact pullback metric that the
+finite-element assembly samples. The first-order (in t) correction
+operator L1 of the Laplacian is the table variation.L1_TERMS.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import SingularPointError
 
 _HALF_PI = math.pi / 2
 
@@ -51,38 +50,6 @@ class DeformationParams:
             raise ValueError("deformation magnitude t must be >= 0")
         if _HALF_PI - self.a * self.t <= 0 or _HALF_PI - self.b * self.t <= 0:
             raise ValueError("t too large: the moved apex leaves the quadrant")
-
-
-@dataclass(frozen=True)
-class CoordPoint:
-    """Point of the coordinate rectangle [0, pi/2] x [0, pi/2]."""
-
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.r <= _HALF_PI) or not (0.0 <= self.theta <= _HALF_PI):
-            raise ValueError(f"({self.r}, {self.theta}) outside the coordinate rectangle")
-
-
-@dataclass(frozen=True)
-class MetricTensor:
-    """Symmetric 2x2 metric at a point, components in (r, theta) order."""
-
-    g_rr: float
-    g_rtheta: float
-    g_thetatheta: float
-
-    @property
-    def det(self) -> float:
-        return self.g_rr * self.g_thetatheta - self.g_rtheta**2
-
-    def inv(self) -> "MetricTensor":
-        d = self.det
-        return MetricTensor(self.g_thetatheta / d, -self.g_rtheta / d, self.g_rr / d)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.g_rr, self.g_rtheta], [self.g_rtheta, self.g_thetatheta]])
 
 
 def side_distance(alpha, theta):
@@ -136,46 +103,6 @@ def _deformation_fields(params: DeformationParams, theta):
     return A, psi, l, L
 
 
-def deform_map(params: DeformationParams, p: CoordPoint) -> CoordPoint:
-    """Image F_t(p); fixes (0, 0) and (pi/2, 0), sends the apex to the moved apex."""
-    A, psi, l, _ = _deformation_fields(params, p.theta)
-    return CoordPoint(p.r - l * 2.0 * p.r / math.pi, float(psi))
-
-
-def deform_jacobian(params: DeformationParams, p: CoordPoint) -> np.ndarray:
-    """Analytic Jacobian dF_t at p (rows: image coords, columns: d/dr, d/dtheta)."""
-    A, psi, l, L = _deformation_fields(params, p.theta)
-    return np.array([
-        [1.0 - 2.0 * l / math.pi, -2.0 * p.r / math.pi * L],
-        [0.0, 1.0 - A],
-    ])
-
-
-def pullback_metric(params: DeformationParams, p: CoordPoint) -> MetricTensor:
-    """Pullback g_t = dF_t^T g_S(F_t(p)) dF_t of the round metric; needs r > 0.
-
-    det(g_t) = (1 - 2l/pi)^2 (1 - A)^2 sin^2(r (1 - 2l/pi)) in closed form.
-    """
-    if p.r <= 0.0:
-        raise SingularPointError("metric is degenerate at the pole r = 0")
-    A, psi, l, L = _deformation_fields(params, p.theta)
-    c1 = 1.0 - 2.0 * l / math.pi
-    s = math.sin(p.r * c1)
-    a12 = -2.0 * p.r / math.pi * L
-    return MetricTensor(
-        g_rr=c1 * c1,
-        g_rtheta=c1 * a12,
-        g_thetatheta=a12 * a12 + (1.0 - A) ** 2 * s * s,
-    )
-
-
-def pullback_det(params: DeformationParams, r, theta):
-    """Closed-form determinant of the pullback metric; vectorized."""
-    A, psi, l, _ = _deformation_fields(params, theta)
-    c1 = 1.0 - 2.0 * np.asarray(l) / math.pi
-    return (c1 * (1.0 - A) * np.sin(np.asarray(r) * c1)) ** 2
-
-
 def metric_coefficients(params: DeformationParams, r, theta):
     """Weak-form coefficient fields (g^rr, g^rth, g^thth) * sqrt(det g) and sqrt(det g).
 
@@ -192,45 +119,3 @@ def metric_coefficients(params: DeformationParams, r, theta):
     w22 = c1 / (one_m_a * s)
     m = c1 * one_m_a * s
     return w11, w12, w22, m
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Partial derivatives of a scalar field at one point, as plain values."""
-
-    d_r: float
-    d_rr: float
-    d_rtheta: float
-    d_thetatheta: float
-
-
-def first_order_operator_apply(
-    params: DeformationParams, sample: FieldSample, p: CoordPoint
-) -> float:
-    """First-order correction operator of the deformed Laplacian, applied at p.
-
-    The Laplacian of the pullback metric expands as Delta_t = Delta_round
-    + t * L1 + O(t^2) with
-
-        L1 = (4/pi) b sin(th) d_rr + (2/pi) b sin(th) cot(r) d_r
-           + (4/pi) b r cos(th) csc^2(r) d_r d_th
-           + (4/pi) b r sin(th) cot(r) csc^2(r) d_th^2
-           + (4/pi) a csc^2(r) d_th^2.
-
-    Only the direction (a, b) enters. Requires r > 0.
-    """
-    if p.r <= 0.0:
-        raise SingularPointError("operator is singular at the pole r = 0")
-    a, b = params.a, params.b
-    r, th = p.r, p.theta
-    sin_r, cos_r = math.sin(r), math.cos(r)
-    cot = cos_r / sin_r
-    csc2 = 1.0 / (sin_r * sin_r)
-    four_over_pi = 4.0 / math.pi
-    return (
-        four_over_pi * b * math.sin(th) * sample.d_rr
-        + 0.5 * four_over_pi * b * math.sin(th) * cot * sample.d_r
-        + four_over_pi * b * r * math.cos(th) * csc2 * sample.d_rtheta
-        + four_over_pi * b * r * math.sin(th) * cot * csc2 * sample.d_thetatheta
-        + four_over_pi * a * csc2 * sample.d_thetatheta
-    )

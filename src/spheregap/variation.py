@@ -7,20 +7,25 @@ The three normalized eigenfunctions of the beta = pi/2 triangle are
     u2_2   = sqrt(3465/(32 pi)) cos(r) sin^4(r) sin(4 theta)
 
 (eigenvalues 12, 30, 30). For a deformation direction (a, b) the derivative
-of an eigenvalue at t = 0 is -<L1 u, u> with the first-order operator L1 of
-the geometry module; each pairing integral splits into five separated terms
-(labelled I..V below, mirroring the five terms of L1) that are products of a
-theta-integral and an r-integral over [0, pi/2]. The gap variation
+of an eigenvalue at t = 0 is -<L1 u, u> with the first-order operator L1
+of the deformed Laplacian, written once as the five-row table L1_TERMS
+(terms I..V). Each pairing integral splits into five separated terms, each
+a product of a theta-integral and an r-integral over [0, pi/2]. Every
+pairing total is linear in (a, b) with the closed-form coefficients of
+_EXPECTED_TOTALS; lambda1_dot, second_eigenvalue_form and the gap
+variation
 
     I(z, b) = -<L1 u2, u2> + <L1 u1, u1>,   u2 = cos(z) u2_1 + sin(z) u2_2,
 
-has global minimum 16/pi over z in [0, 2 pi], b in [0, 1] (a = sqrt(1-b^2)),
+evaluate those closed forms, and verify_appendix checks them, term by
+term, against the Gauss-Legendre quadrature of pairing_terms. I has
+global minimum 16/pi over z in [0, 2 pi], b in [0, 1] (a = sqrt(1-b^2)),
 which equals d/dt [4 pi / (pi/2 - t) + 10] at t = 0, the exact gap slope of
 the one-sided deformations.
 """
 import math
 from dataclasses import dataclass
-from functools import cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,23 +48,21 @@ _NODES = 64
 
 
 class _Mode:
-    """Closed-form separated mode N * R(r) * S(theta) with analytic derivatives."""
+    """Closed-form separated mode norm * R(r) * sin(freq * theta)."""
 
     def __init__(self, norm, radial, d_radial, d2_radial, angular_freq):
         self.norm = norm
-        self.R = radial
-        self.dR = d_radial
-        self.d2R = d2_radial
+        self.radial = (radial, d_radial, d2_radial)  # R and its first two derivatives
         self.freq = angular_freq
 
-    def S(self, t):
-        return np.sin(self.freq * t)
-
-    def dS(self, t):
-        return self.freq * np.cos(self.freq * t)
-
-    def d2S(self, t):
-        return -self.freq**2 * np.sin(self.freq * t)
+    def angular(self, theta, order):
+        """The order-th derivative (0, 1 or 2) of sin(freq * theta)."""
+        f = self.freq
+        if order == 0:
+            return np.sin(f * theta)
+        if order == 1:
+            return f * np.cos(f * theta)
+        return -f**2 * np.sin(f * theta)
 
 
 def _r1(r):
@@ -110,6 +113,32 @@ _MODES = {
 }
 
 
+class L1Term(NamedTuple):
+    """One term const * (a or b) * radial(r) * angular(theta) * d_r^i d_theta^j of L1."""
+
+    component: str  # "a" or "b", the direction component that scales the term
+    constant: float
+    radial: Callable
+    angular: Callable
+    r_order: int
+    theta_order: int
+
+
+# The first-order operator of the deformed Laplacian, Delta_t = Delta_round
+# + t * L1 + O(t^2), one row per term I..V:
+#   L1 = (4/pi) b sin(th) d_rr + (2/pi) b sin(th) cot(r) d_r
+#      + (4/pi) b r cos(th) csc^2(r) d_r d_th
+#      + (4/pi) b r sin(th) cot(r) csc^2(r) d_th^2 + (4/pi) a csc^2(r) d_th^2.
+# Its coefficients are singular at the pole r = 0.
+L1_TERMS = (
+    L1Term("b", 4.0 / PI, lambda r: 1.0, np.sin, 2, 0),
+    L1Term("b", 2.0 / PI, lambda r: np.cos(r) / np.sin(r), np.sin, 1, 0),
+    L1Term("b", 4.0 / PI, lambda r: r / np.sin(r) ** 2, np.cos, 1, 1),
+    L1Term("b", 4.0 / PI, lambda r: r * np.cos(r) / np.sin(r) ** 3, np.sin, 0, 2),
+    L1Term("a", 4.0 / PI, lambda r: 1.0 / np.sin(r) ** 2, lambda theta: 1.0, 0, 2),
+)
+
+
 @dataclass(frozen=True)
 class PairingSpec:
     """A (left, right) pair of mode names and a unit deformation direction."""
@@ -143,52 +172,33 @@ class BilinearTermTable:
 def pairing_terms(spec: PairingSpec) -> BilinearTermTable:
     """Term-by-term quadrature of integral of u_left * (L1 u_right) over the triangle.
 
-    Each term is a product of a theta-integral and an r-integral evaluated by
-    _NODES-point Gauss-Legendre rules.
+    Each row of L1_TERMS gives one term, a product of a theta-integral and
+    an r-integral (area element sin r) evaluated by _NODES-point
+    Gauss-Legendre rules.
     """
-    a, b = spec.direction
+    direction = dict(zip("ab", spec.direction))
     left, right = _MODES[spec.left], _MODES[spec.right]
     rq, rw = gauss_legendre(0.0, PI / 2, _NODES)
     tq, tw = gauss_legendre(0.0, PI / 2, _NODES)
     nn = left.norm * right.norm
-    s, c = np.sin(rq), np.cos(rq)
-
-    th_ss = float(np.sum(tw * left.S(tq) * right.S(tq) * np.sin(tq)))
-    th_cd = float(np.sum(tw * left.S(tq) * np.cos(tq) * right.dS(tq)))
-    th_sd2 = float(np.sum(tw * left.S(tq) * np.sin(tq) * right.d2S(tq)))
-    th_d2 = float(np.sum(tw * left.S(tq) * right.d2S(tq)))
-
-    rl, drr, d2rr, rr = left.R(rq), right.dR(rq), right.d2R(rq), right.R(rq)
-    term_1 = (4.0 / PI) * b * nn * th_ss * float(np.sum(rw * rl * d2rr * s))
-    term_2 = (2.0 / PI) * b * nn * th_ss * float(np.sum(rw * rl * drr * c))
-    term_3 = (4.0 / PI) * b * nn * th_cd * float(np.sum(rw * rq * rl * drr / s))
-    term_4 = (4.0 / PI) * b * nn * th_sd2 * float(np.sum(rw * rq * rl * rr * c / s**2))
-    term_5 = (4.0 / PI) * a * nn * th_d2 * float(np.sum(rw * rl * rr / s))
-    terms = (term_1, term_2, term_3, term_4, term_5)
+    r_left = rw * left.radial[0](rq) * np.sin(rq)
+    theta_left = tw * left.angular(tq, 0)
+    terms = tuple(
+        term.constant * direction[term.component] * nn
+        * float(np.sum(theta_left * term.angular(tq) * right.angular(tq, term.theta_order)))
+        * float(np.sum(r_left * term.radial(rq) * right.radial[term.r_order](rq)))
+        for term in L1_TERMS
+    )
     return BilinearTermTable(terms, math.fsum(terms))
 
 
-@cache
-def _direction_coefficients():
-    """(a-coefficient, b-coefficient) of each pairing total; totals are linear in (a, b)."""
-    out = {}
-    for left in MODE_NAMES:
-        for right in MODE_NAMES:
-            if (left == "u1") != (right == "u1"):
-                continue  # cross terms with u1 are not needed
-            ca = pairing_terms(PairingSpec(left, right, (1.0, 0.0))).total
-            cb = pairing_terms(PairingSpec(left, right, (0.0, 1.0))).total
-            out[(left, right)] = (ca, cb)
-    return out
-
-
 def _pairing_totals(direction) -> dict:
-    """a * c_a + b * c_b of every pairing total of _direction_coefficients,
-    for a direction (a, b) or broadcast arrays of them; raises ValueError
-    unless every (a, b) passes geometry.check_direction."""
+    """a * c_a + b * c_b of every closed-form pairing total (c_a, c_b) of
+    _EXPECTED_TOTALS, for a direction (a, b) or broadcast arrays of them;
+    raises ValueError unless every (a, b) passes geometry.check_direction."""
     a, b = direction
     check_direction(a, b)
-    return {pair: a * ca + b * cb for pair, (ca, cb) in _direction_coefficients().items()}
+    return {pair: a * ca + b * cb for pair, (ca, cb) in _EXPECTED_TOTALS.items()}
 
 
 def lambda1_dot(direction) -> float:
@@ -218,19 +228,6 @@ def gap_variation_grid(z, direction) -> np.ndarray:
     return -u2_part + total[("u1", "u1")]
 
 
-def gap_variation_I(z: float, direction) -> float:
-    """Gap variation I(z, (a, b)) at one point; see gap_variation_grid."""
-    return float(gap_variation_grid(z, direction))
-
-
-def gap_variation_I_closed(z: float, b: float) -> float:
-    """Closed trigonometric form of I(z, b), for cross-checking the quadrature."""
-    a = math.sqrt(1.0 - b * b)
-    cz, sz = math.cos(z), math.sin(z)
-    return (b * (27.0 / PI + cz * cz * 22.0 / PI - cz * sz * 22.0 * math.sqrt(3.0) / PI)
-            + a * (16.0 / PI + sz * sz * 44.0 / PI))
-
-
 @dataclass(frozen=True)
 class VariationMinimum:
     value: float
@@ -254,8 +251,10 @@ def gap_variation_table(z_steps: int, b_steps: int, *, a=None, b=None) -> Variat
     Without a or b the directions are b_steps values of b spanning [0, 1]
     with a = sqrt(1 - b^2). Otherwise there is one direction,
     (sqrt(1 - b^2), b), with b = sqrt(1 - a^2) when only a is given; a
-    given a must equal sqrt(1 - b^2) to within 1e-9. Raises ValueError for
-    step counts below 1 or a direction off the unit circle.
+    given a must equal sqrt(1 - b^2) to within 1e-9. Where several cells
+    share the minimal value, the first in z-major order (values.ravel())
+    is the minimum. Raises ValueError for step counts below 1 or a
+    direction off the unit circle.
     """
     if z_steps < 1 or b_steps < 1:
         raise ValueError("step counts must be >= 1")
@@ -274,11 +273,6 @@ def gap_variation_table(z_steps: int, b_steps: int, *, a=None, b=None) -> Variat
     iz, ib = np.unravel_index(np.argmin(values), values.shape)
     minimum = VariationMinimum(float(values[iz, ib]), float(zs[iz]), float(bs[ib]))
     return VariationTable(zs, bs, values, minimum)
-
-
-def minimize_gap_variation(z_steps: int = 2000, b_steps: int = 2000) -> VariationMinimum:
-    """Grid minimum of I(z, b) over [0, 2 pi] x [0, 1]; expected value 16/pi."""
-    return gap_variation_table(z_steps, b_steps).minimum
 
 
 # printed closed-form values for every pairing term (b-part for I..IV, a-part for V)
@@ -321,7 +315,8 @@ _EXPECTED_TERMS = {
     ),
 }
 
-# combined totals as (a-coefficient, b-coefficient)
+# combined totals as (a-coefficient, b-coefficient): the first variation
+# reads these, and verify_appendix checks them against the quadrature
 _EXPECTED_TOTALS = {
     ("u1", "u1"): (-28.0 / PI, -28.0 / PI),
     ("u2_1", "u2_1"): (-44.0 / PI, -77.0 / PI),

@@ -21,7 +21,7 @@ from spheregap.spectra import (
     gap,
     spectrum,
 )
-from spheregap.variation import minimize_gap_variation, verify_appendix
+from spheregap.variation import gap_variation_table, verify_appendix
 
 PI = math.pi
 REF_SLOPE = 16.0 / PI
@@ -48,7 +48,7 @@ def equilateral_solutions():
 
 @pytest.fixture(scope="module")
 def variation_minimum():
-    return minimize_gap_variation(2000, 2000)
+    return gap_variation_table(2000, 2000).minimum
 
 
 def test_criterion_01_closed_form_spectrum():
@@ -124,7 +124,7 @@ def test_criterion_04_appendix_reproduction():
 
 def test_criterion_05_variation_minimum(variation_minimum):
     start = time.perf_counter()
-    result = minimize_gap_variation(2000, 2000)
+    result = gap_variation_table(2000, 2000).minimum
     elapsed = time.perf_counter() - start
     diff = abs(result.value - REF_SLOPE)
     ok = diff < 1e-6 and elapsed < 30.0

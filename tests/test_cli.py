@@ -163,15 +163,29 @@ def test_variation_defaults_find_minimum(capsys):
 
 
 def test_variation_summary_is_the_library_minimum(capsys):
-    from spheregap.variation import minimize_gap_variation
+    from spheregap.variation import gap_variation_table
 
     code, out = _run(capsys, "variation", "--z-steps", "721", "--b-steps", "201")
     assert code == 0
     summary, _, _ = _parse_csv(out)
-    best = minimize_gap_variation(721, 201)
+    best = gap_variation_table(721, 201).minimum
     # 17 significant digits round-trip a double exactly
     assert [float(summary[key]).hex() for key in ("min_value", "argmin_z", "argmin_b")] == [
         best.value.hex(), best.z.hex(), best.b.hex()]
+
+
+@pytest.mark.parametrize("z_steps, b_steps", [(721, 201), (61, 21)])
+def test_variation_summary_is_a_tied_minimum(capsys, z_steps, b_steps):
+    # I = 16/pi exactly where b = 0 and sin z = 0, and where b = 1 and z is
+    # pi/3 or 4 pi/3; both grids hold all five points
+    code, out = _run(capsys, "variation", "--z-steps", str(z_steps), "--b-steps", str(b_steps))
+    assert code == 0
+    summary, _, _ = _parse_csv(out)
+    z, b = float(summary["argmin_z"]), float(summary["argmin_b"])
+    ties = [(0.0, 0.0), (PI, 0.0), (2 * PI, 0.0), (PI / 3, 1.0), (4 * PI / 3, 1.0)]
+    assert any(abs(z - z_tie) < 1e-12 and b == b_tie for z_tie, b_tie in ties)
+    ulp = math.ulp(16.0 / PI)
+    assert abs(float(summary["min_value"]) - 16.0 / PI) <= 4 * ulp
 
 
 def test_variation_fixed_direction(capsys):
@@ -304,6 +318,10 @@ def test_gap_slope_bad_t_list(capsys):
     code, _ = _run(capsys, "gap-slope", "--a", "0", "--b", "1",
                    "--t-list", "0.02,zap", "--grid-n", "24")
     assert code == 1
+    # one t allows no extrapolation, so there is no error_estimate to print
+    err = _usage_error(capsys, "gap-slope", "--a", "0", "--b", "1", "--t-list", "0.01",
+                       "--grid-n", "24", "--format", "json")
+    assert "at least two" in err
 
 
 # ------------------------------------------------------------ cross-cutting

@@ -258,7 +258,7 @@ def test_gap_slope_validation():
         gap_slope((0.0, 1.0), [], grid_n)
     with pytest.raises(ValueError):
         gap_slope((0.0, 1.0), [0.01, -0.005], grid_n)
-    for t_values in ([math.nan], [0.02, math.nan]):
+    for t_values in ([math.nan], [0.02, math.nan], [0.01]):
         with pytest.raises(ValueError, match="strictly decreasing"):
             gap_slope((0.0, 1.0), t_values, grid_n)
 

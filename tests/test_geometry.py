@@ -4,21 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from spheregap.errors import SingularPointError
 from spheregap.geometry import (
-    CoordPoint,
     DeformationParams,
-    FieldSample,
     apex_offset,
     check_direction,
-    deform_jacobian,
-    deform_map,
-    first_order_operator_apply,
     metric_coefficients,
-    pullback_det,
-    pullback_metric,
     side_distance,
     side_distance_dtheta,
+)
+from spheregap.variation import L1_TERMS
+
+from pointwise_oracles import (
+    CoordPoint,
+    deform_jacobian,
+    deform_map,
+    pullback_det,
+    pullback_metric,
 )
 
 PI = math.pi
@@ -307,12 +308,6 @@ def test_metric_inverse_and_coefficients():
     assert abs(w22 - ginv.g_thetatheta * sqrt_det) < 1e-12
 
 
-def test_metric_pole_error():
-    params = DeformationParams(0.0, 1.0, 0.1)
-    with pytest.raises(SingularPointError):
-        pullback_metric(params, CoordPoint(0.0, 0.3))
-
-
 # -------------------------------------------------- first-order asymptotics
 
 
@@ -358,33 +353,33 @@ def test_side_length_field_first_order():
 # -------------------------------------------------- first-order operator
 
 
+def _apply_l1(direction, derivatives, r, theta):
+    """L1 u at (r, theta) from the rows of variation.L1_TERMS; derivatives
+    maps (r order, theta order) to that partial derivative of u there."""
+    component = dict(zip("ab", direction))
+    return sum(term.constant * component[term.component] * term.radial(r) * term.angular(theta)
+               * derivatives[term.r_order, term.theta_order] for term in L1_TERMS)
+
+
 def test_operator_zero_field():
-    params = DeformationParams(0.6, 0.8, 0.0)
-    sample = FieldSample(0.0, 0.0, 0.0, 0.0)
-    assert first_order_operator_apply(params, sample, CoordPoint(0.8, 0.4)) == 0.0
+    zero = dict.fromkeys([(2, 0), (1, 0), (1, 1), (0, 2)], 0.0)
+    assert _apply_l1((0.6, 0.8), zero, 0.8, 0.4) == 0.0
 
 
 def test_operator_pure_angular_direction():
     # a = 1, b = 0 keeps only the (4/pi) a csc^2(r) d_theta^2 term
-    params = DeformationParams(1.0, 0.0, 0.0)
-    p = CoordPoint(0.7, 0.3)
-    sample = FieldSample(d_r=1.3, d_rr=-0.4, d_rtheta=2.2, d_thetatheta=0.9)
-    got = first_order_operator_apply(params, sample, p)
+    derivatives = {(1, 0): 1.3, (2, 0): -0.4, (1, 1): 2.2, (0, 2): 0.9}
+    got = _apply_l1((1.0, 0.0), derivatives, 0.7, 0.3)
     assert abs(got - (4 / PI) * 0.9 / math.sin(0.7) ** 2) < 1e-15
-
-
-def test_operator_singular_point():
-    params = DeformationParams(0.0, 1.0, 0.0)
-    with pytest.raises(SingularPointError):
-        first_order_operator_apply(params, FieldSample(1, 1, 1, 1), CoordPoint(0.0, 0.4))
 
 
 def test_operator_is_first_order_term_of_deformed_laplacian():
     """(Delta_t - Delta_round) u / t -> L1 u with the exact-metric Laplacian.
 
-    The deformed Laplacian is computed from the pullback metric by finite
-    differences of the flux (g^ij sqrt(det g) d_j u), entirely independent of
-    the closed-form operator coefficients.
+    The deformed Laplacian is computed from the weak-form metric fields that
+    the FEM samples, by finite differences of the flux (g^ij sqrt(det g) d_j u),
+    entirely independent of the table variation.L1_TERMS that pairing_terms
+    integrates.
     """
     u = lambda r, th: math.sin(r) ** 2 * math.cos(r) * math.sin(2 * th)
     u_r = lambda r, th: (2 * math.sin(r) * math.cos(r) ** 2 - math.sin(r) ** 3) * math.sin(2 * th)
@@ -417,7 +412,6 @@ def test_operator_is_first_order_term_of_deformed_laplacian():
         slope = _neville(
             ts, [(laplacian(DeformationParams(a, b, t), r, th) - base) / t for t in ts]
         )
-        sample = FieldSample(u_r(r, th), u_rr(r, th), u_rth(r, th), u_thth(r, th))
-        ref = first_order_operator_apply(DeformationParams(a, b, 0.0), sample,
-                                         CoordPoint(r, th))
-        assert abs(slope - ref) < 1e-4
+        derivatives = {(1, 0): u_r(r, th), (2, 0): u_rr(r, th), (1, 1): u_rth(r, th),
+                       (0, 2): u_thth(r, th)}
+        assert abs(slope - _apply_l1((a, b), derivatives, r, th)) < 1e-4

@@ -2,6 +2,7 @@
 closed-form verification table."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,14 +19,13 @@ from spheregap.variation import (
     PairingSpec,
     gap_variation_grid,
     gap_variation_table,
-    gap_variation_I,
-    gap_variation_I_closed,
     lambda1_dot,
-    minimize_gap_variation,
     pairing_terms,
     second_eigenvalue_form,
     verify_appendix,
 )
+
+from pointwise_oracles import gap_variation_I_closed
 
 PI = math.pi
 SQ23 = math.sqrt(C2 * C3)
@@ -82,12 +82,12 @@ def test_terms_separability_against_2d_quadrature():
     W = np.outer(rw, tw)
     for left, right in [("u1", "u1"), ("u2_2", "u2_1"), ("u2_2", "u2_2")]:
         ml, mr = _MODES[left], _MODES[right]
-        u_l = ml.norm * ml.R(R) * ml.S(T)
+        u_l = ml.norm * ml.radial[0](R) * ml.angular(T, 0)
         sin_r, cos_r = np.sin(R), np.cos(R)
-        d_r = mr.norm * mr.dR(R) * mr.S(T)
-        d_rr = mr.norm * mr.d2R(R) * mr.S(T)
-        d_rt = mr.norm * mr.dR(R) * mr.dS(T)
-        d_tt = mr.norm * mr.R(R) * mr.d2S(T)
+        d_r = mr.norm * mr.radial[1](R) * mr.angular(T, 0)
+        d_rr = mr.norm * mr.radial[2](R) * mr.angular(T, 0)
+        d_rt = mr.norm * mr.radial[1](R) * mr.angular(T, 1)
+        d_tt = mr.norm * mr.radial[0](R) * mr.angular(T, 2)
         b_terms = (
             (4 / PI) * np.sum(W * u_l * np.sin(T) * d_rr * sin_r),
             (2 / PI) * np.sum(W * u_l * np.sin(T) * cos_r / sin_r * d_r * sin_r),
@@ -117,10 +117,10 @@ def test_bilinear_table_validation():
 
 
 def test_lambda1_dot_values():
-    assert abs(lambda1_dot((0.0, 1.0)) - 28.0 / PI) < 1e-10
-    assert abs(lambda1_dot((1.0, 0.0)) - 28.0 / PI) < 1e-10
+    assert lambda1_dot((0.0, 1.0)) == pytest.approx(28.0 / PI, rel=1e-15, abs=0.0)
+    assert lambda1_dot((1.0, 0.0)) == pytest.approx(28.0 / PI, rel=1e-15, abs=0.0)
     s = 1.0 / math.sqrt(2.0)
-    assert abs(lambda1_dot((s, s)) - 28.0 * math.sqrt(2.0) / PI) < 1e-10
+    assert lambda1_dot((s, s)) == pytest.approx(28.0 * math.sqrt(2.0) / PI, rel=1e-15, abs=0.0)
 
 
 def test_direction_derivatives_validate_direction():
@@ -134,8 +134,33 @@ def test_second_eigenvalue_form_eigenvalues():
     # direction (0, 1): eigenvalues of the 2x2 form are 44/pi and 88/pi
     q = second_eigenvalue_form((0.0, 1.0))
     vals = np.sort(np.linalg.eigvalsh(q))
-    assert abs(vals[0] - 44.0 / PI) < 1e-9
-    assert abs(vals[1] - 88.0 / PI) < 1e-9
+    assert vals[0] == pytest.approx(44.0 / PI, rel=1e-15, abs=0.0)
+    assert vals[1] == pytest.approx(88.0 / PI, rel=1e-15, abs=0.0)
+
+
+def _exact_form(a, b):
+    """(lambda1', smaller and larger eigenvalue of the second form) in mpmath
+    at the given float direction, from the paper's closed forms."""
+    a, b, pi = mpmath.mpf(a), mpmath.mpf(b), mpmath.pi
+    q11, q22, q12 = (44 * a + 77 * b) / pi, (88 * a + 55 * b) / pi, -11 * mpmath.sqrt(3) * b / pi
+    half_split = mpmath.sqrt((q11 - q22) ** 2 + 4 * q12**2) / 2
+    middle = (q11 + q22) / 2
+    return 28 * (a + b) / pi, middle - half_split, middle + half_split
+
+
+def test_first_variation_is_exact_to_rounding():
+    # the closed-form totals give lambda1' and the split lambda2 slopes to
+    # rounding over random directions, the axes included
+    rng = np.random.default_rng(89)
+    angles = np.concatenate([[0.0, PI / 2], rng.uniform(0.0, PI / 2, 1998)])
+    worst = 0.0
+    with mpmath.workdps(40):
+        for phi in angles:
+            direction = (math.cos(phi), math.sin(phi))
+            got = (lambda1_dot(direction), *np.linalg.eigvalsh(second_eigenvalue_form(direction)))
+            for value, exact in zip(got, _exact_form(*direction)):
+                worst = max(worst, float(abs(value - exact) / exact))
+    assert worst <= 1e-15
 
 
 # ------------------------------------------------------------ I(z, b)
@@ -150,7 +175,7 @@ def test_gap_variation_is_second_form_minus_lambda1_dot():
         direction = (math.sqrt(1.0 - b * b), b)
         v = np.array([math.cos(z), math.sin(z)])
         expected = v @ second_eigenvalue_form(direction) @ v - lambda1_dot(direction)
-        assert abs(gap_variation_I(z, direction) - expected) <= 1e-13
+        assert abs(gap_variation_grid(z, direction) - expected) <= 1e-13
 
 
 def test_gap_variation_matches_closed_form():
@@ -159,12 +184,12 @@ def test_gap_variation_matches_closed_form():
         z = float(rng.uniform(0.0, 2.0 * PI))
         b = float(rng.uniform(0.0, 1.0))
         a = math.sqrt(1.0 - b * b)
-        assert abs(gap_variation_I(z, (a, b)) - gap_variation_I_closed(z, b)) < 1e-10
+        assert abs(gap_variation_grid(z, (a, b)) - gap_variation_I_closed(z, b)) < 1e-10
 
 
 def test_gap_variation_direction_validation():
     with pytest.raises(ValueError):
-        gap_variation_I(0.3, (0.9, 0.9))
+        gap_variation_grid(0.3, (0.9, 0.9))
     b = np.array([0.0, np.nan, 1.0])
     with pytest.raises(ValueError, match=r"a\^2 \+ b\^2 = 1"):
         gap_variation_grid(np.zeros((4, 1)), (np.sqrt(1.0 - b * b), b))
@@ -173,11 +198,11 @@ def test_gap_variation_direction_validation():
 def test_minimum_on_the_pure_a_branch():
     # b = 0 and sin(z) = 0 realizes the minimum 16/pi
     for z in (0.0, PI, 2.0 * PI):
-        assert abs(gap_variation_I(z, (1.0, 0.0)) - 16.0 / PI) < 1e-12
+        assert abs(gap_variation_grid(z, (1.0, 0.0)) - 16.0 / PI) < 1e-12
 
 
 def test_grid_minimum():
-    result = minimize_gap_variation(400, 400)
+    result = gap_variation_table(400, 400).minimum
     assert abs(result.value - 16.0 / PI) < 1e-6
     assert result.value >= 16.0 / PI - 1e-9
 
@@ -185,9 +210,28 @@ def test_grid_minimum():
 def test_grid_step_counts_must_be_positive():
     for z_steps, b_steps in ((0, 0), (0, 5), (5, 0), (-1, 5)):
         with pytest.raises(ValueError, match="step counts must be >= 1"):
-            minimize_gap_variation(z_steps, b_steps)
+            gap_variation_table(z_steps, b_steps)
         with pytest.raises(ValueError, match="step counts must be >= 1"):
             gap_variation_table(z_steps, b_steps, b=0.5)
+
+
+def test_grid_is_exact_to_rounding():
+    # I(z, b) at a seeded sample of the grid the variation command prints,
+    # against mpmath at the same float z, b and a = sqrt(1 - b^2)
+    table = gap_variation_table(721, 201)
+    a_values = np.sqrt(1.0 - table.b**2)
+    rng = np.random.default_rng(97)
+    cells = zip(rng.integers(0, 721, 3000), rng.integers(0, 201, 3000))
+    worst = 0.0
+    with mpmath.workdps(40):
+        for iz, ib in cells:
+            a, b = mpmath.mpf(a_values[ib]), mpmath.mpf(table.b[ib])
+            p, q = mpmath.cos(mpmath.mpf(table.z[iz])), mpmath.sin(mpmath.mpf(table.z[iz]))
+            # v^T Q v - lambda1' with v = (cos z, sin z)
+            exact = (p * p * (44 * a + 77 * b) - 2 * p * q * 11 * mpmath.sqrt(3) * b
+                     + q * q * (88 * a + 55 * b) - 28 * (a + b)) / mpmath.pi
+            worst = max(worst, float(abs(table.values[iz, ib] - exact) / exact))
+    assert worst <= 2e-15
 
 
 def test_variation_table_one_direction():
@@ -212,14 +256,14 @@ def test_variation_lower_bound_everywhere():
         z = float(rng.uniform(0.0, 2.0 * PI))
         b = float(rng.uniform(0.0, 1.0))
         assert gap_variation_I_closed(z, b) >= floor
-        assert gap_variation_I(z, (math.sqrt(1 - b * b), b)) >= floor
+        assert gap_variation_grid(z, (math.sqrt(1 - b * b), b)) >= floor
 
 
 def test_slope_reference_consistency():
     # d/dt [4 pi / (pi/2 - t) + 10] at t = 0
     ref = 4.0 * PI / (PI / 2.0) ** 2
     assert abs(ref - MIN_GAP_VARIATION) < 1e-12
-    assert abs(minimize_gap_variation(500, 500).value - ref) < 1e-12
+    assert abs(gap_variation_table(500, 500).minimum.value - ref) < 1e-12
     # one-sided difference of the exact gap curve, the gap of the half-lune
     # triangle of angle pi/2 - t: for t < 0 the angle passes pi/2 and the
     # other branch, of slope 60/pi, takes over
