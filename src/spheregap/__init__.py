@@ -7,8 +7,9 @@ cross-check on the deformed domains.
 
 Importing the package loads its error types only. Every other public name
 and submodule is imported on first access, through the table `_LAZY`.
-Closed-form spectra and gaps need math only, everything else numpy only.
-scipy loads only for the Legendre ODE branch and for the
+Closed-form spectra and gaps, the first variation and its quadrature
+check need math only; the eigenfunctions, their normalization and the FEM
+need numpy. scipy loads only for the Legendre ODE branch and for the
 shift-invert solve that FEM problems near the largest deformation fall back
 to.
 """

@@ -38,13 +38,13 @@ def _template(values) -> str:
 
 
 def _grid_blocks(z, b, values):
-    """The CSV lines (z, b, value) of the grid values[i, k] = I(z[i], b[k]),
+    """The CSV lines (z, b, value) of the grid values[i][k] = I(z[i], b[k]),
     one block of len(b) lines per z. Each b cell is formatted once, and each
     block takes one %-call on a template whose z and b cells are filled in."""
     tails = [_FLOAT % bv + "," + _FLOAT for bv in b]
     for zv, row in zip(z, values):
         z_cell = _FLOAT % zv + ","
-        yield (z_cell + ("\n" + z_cell).join(tails)) % tuple(row.tolist())
+        yield (z_cell + ("\n" + z_cell).join(tails)) % tuple(row)
 
 
 # rows per block of streamed JSON
@@ -147,18 +147,18 @@ def _cmd_variation(args) -> int:
     from . import variation
 
     table = variation.gap_variation_table(args.z_steps, args.b_steps, a=args.a, b=args.b)
-    z, b = table.z.tolist(), table.b.tolist()
     # built only for JSON; CSV takes the blocks
-    rows = ((zv, bv, val) for zv, row in zip(z, table.values) for bv, val in zip(b, row.tolist()))
+    rows = ((zv, bv, val)
+            for zv, row in zip(table.z, table.values) for bv, val in zip(table.b, row))
     best = table.minimum
     summary = {"min_value": best.value, "argmin_z": best.z, "argmin_b": best.b,
                "reference_16_over_pi": variation.MIN_GAP_VARIATION,
                "abs_diff": abs(best.value - variation.MIN_GAP_VARIATION)}
     one_direction = args.a is not None or args.b is not None
     _emit(args, "variation",
-          {"a": args.a, "b": table.b.item() if one_direction else None,
+          {"a": args.a, "b": table.b[0] if one_direction else None,
            "z_steps": args.z_steps, "b_steps": args.b_steps},
-          ("z", "b", "value"), rows, summary, _grid_blocks(z, b, table.values))
+          ("z", "b", "value"), rows, summary, _grid_blocks(table.z, table.b, table.values))
     return 0
 
 

@@ -393,17 +393,18 @@ def _separable_factors(params: DeformationParams, spec, n: int) -> _SeparableFac
 
 def _stencil(loc, n, n_r) -> StencilMatrix:
     """Sum the (cells, 4, 4) element blocks of an n x n node grid into a
-    9-point stencil and restrict it to the retained rows 0 .. n_r - 1 and
-    columns 1 .. n - 2. Local node a of cell (ci, cj) is grid node
-    (ci + a % 2, cj + a // 2)."""
+    9-point stencil on the retained rows 0 .. n_r - 1 and columns
+    1 .. n - 2. Local node a of cell (ci, cj) is grid node
+    (ci + a % 2, cj + a // 2); only the blocks of cells whose node a is
+    retained are added, in the same (a, b) order as on the full grid."""
     nc = n - 1
     loc = loc.reshape(nc, nc, 4, 4)
-    full = np.zeros((3, 3, n, n))
+    coef = np.zeros((3, 3, n_r, n - 2))
     for a in range(4):
         ra, ta = a % 2, a // 2
+        rows = min(nc, n_r - ra)
         for b in range(4):
-            full[1 + b % 2 - ra, 1 + b // 2 - ta, ra:ra + nc, ta:ta + nc] += loc[:, :, a, b]
-    coef = full[:, :, :n_r, 1:n - 1].copy()
+            coef[1 + b % 2 - ra, 1 + b // 2 - ta, ra:ra + rows] += loc[:rows, 1 - ta:nc - ta, a, b]
     # couplings to the Dirichlet nodes
     coef[:, 0, :, 0] = 0.0
     coef[:, 2, :, -1] = 0.0

@@ -17,22 +17,28 @@ operator L1 of the Laplacian is the table variation.L1_TERMS.
 """
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache
 
 _HALF_PI = math.pi / 2
 
 
-def check_direction(a, b) -> None:
-    """Raise ValueError unless every (a, b) is a deformation direction.
+@cache
+def _numpy():
+    """numpy, imported on first use: directions need math only, so the
+    closed-form first variation loads no numpy through check_direction."""
+    import numpy
+    return numpy
 
-    A direction has a, b >= 0 and |a^2 + b^2 - 1| <= 1e-12. Vectorized over
-    broadcast arrays; NaN fails the unit-circle test.
+
+def check_direction(a: float, b: float) -> None:
+    """Raise ValueError unless (a, b) is a deformation direction.
+
+    A direction has a, b >= 0 and |a^2 + b^2 - 1| <= 1e-12; NaN fails the
+    unit-circle test.
     """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if np.any(a < 0) or np.any(b < 0):
+    if a < 0 or b < 0:
         raise ValueError("direction components must be nonnegative")
-    if not np.all(np.abs(a * a + b * b - 1.0) <= 1e-12):
+    if not abs(a * a + b * b - 1.0) <= 1e-12:
         raise ValueError("direction must satisfy a^2 + b^2 = 1")
 
 
@@ -64,6 +70,7 @@ def side_distance(alpha, theta):
     The denominator vanishes only at alpha = pi/2, theta = 0; the limit 0
     along theta -> 0 is returned there. Accepts scalars or arrays.
     """
+    np = _numpy()
     sa, st, ct = np.sin(alpha), np.sin(theta), np.cos(theta)
     den_sq = 1.0 - sa**2 * ct**2
     tiny = den_sq < 1e-30
@@ -75,6 +82,7 @@ def side_distance(alpha, theta):
 
 def side_distance_dtheta(alpha, theta):
     """Analytic d/dtheta of side_distance: sin(a)cos(a)cos(th) / (1 - sin^2(a)cos^2(th))."""
+    np = _numpy()
     sa, ca = np.sin(alpha), np.cos(alpha)
     ct = np.cos(theta)
     out = sa * ca * ct / (1.0 - sa**2 * ct**2)
@@ -95,6 +103,7 @@ def apex_offset(params: DeformationParams) -> float:
 
 def _deformation_fields(params: DeformationParams, theta):
     """(A, psi, l, L) at longitude theta, with L = d/dtheta [l(z, (1-A) theta)]."""
+    np = _numpy()
     z = apex_offset(params)
     A = 2.0 * params.a * params.t / math.pi
     psi = (1.0 - A) * np.asarray(theta, dtype=float)
@@ -109,6 +118,7 @@ def metric_coefficients(params: DeformationParams, r, theta):
     Vectorized over r, theta; these are the only metric quantities the
     discrete eigensolver samples. Valid for r > 0.
     """
+    np = _numpy()
     r = np.asarray(r, dtype=float)
     A, psi, l, L = _deformation_fields(params, theta)
     c1 = 1.0 - 2.0 * l / math.pi

@@ -223,7 +223,7 @@ def normalization_constant(spec, mode: ModeIndex) -> float:
     np, quadrature, _ = _numeric()
 
     def norm_sq(n):
-        rq, rw = quadrature.gauss_legendre(0.0, spec.r_max, n)
+        rq, rw = map(np.array, quadrature.gauss_legendre(0.0, spec.r_max, n))
         rad = _radial_values(spec, mode, rq)
         return float(np.sum(rw * rad**2 * np.sin(rq)) * (0.5 * spec.beta))
 

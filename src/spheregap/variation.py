@@ -22,12 +22,14 @@ term, against the Gauss-Legendre quadrature of pairing_terms. I has
 global minimum 16/pi over z in [0, 2 pi], b in [0, 1] (a = sqrt(1-b^2)),
 which equals d/dt [4 pi / (pi/2 - t) + 10] at t = 0, the exact gap slope of
 the one-sided deformations.
+
+The module needs math only: gap_variation_grid is I at one point, and
+gap_variation_table holds its grid as tuples and array('d') rows.
 """
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .geometry import check_direction
 from .quadrature import gauss_legendre
@@ -59,50 +61,50 @@ class _Mode:
         """The order-th derivative (0, 1 or 2) of sin(freq * theta)."""
         f = self.freq
         if order == 0:
-            return np.sin(f * theta)
+            return math.sin(f * theta)
         if order == 1:
-            return f * np.cos(f * theta)
-        return -f**2 * np.sin(f * theta)
+            return f * math.cos(f * theta)
+        return -f**2 * math.sin(f * theta)
 
 
 def _r1(r):
-    return np.sin(r) ** 2 * np.cos(r)
+    return math.sin(r) ** 2 * math.cos(r)
 
 
 def _dr1(r):
-    return 2.0 * np.sin(r) * np.cos(r) ** 2 - np.sin(r) ** 3
+    return 2.0 * math.sin(r) * math.cos(r) ** 2 - math.sin(r) ** 3
 
 
 def _d2r1(r):
-    return 2.0 * np.cos(r) ** 3 - 7.0 * np.sin(r) ** 2 * np.cos(r)
+    return 2.0 * math.cos(r) ** 3 - 7.0 * math.sin(r) ** 2 * math.cos(r)
 
 
 def _r2(r):
-    c = np.cos(r)
+    c = math.cos(r)
     return 3.0 * c**5 - 4.0 * c**3 + c
 
 
 def _dr2(r):
-    c, s = np.cos(r), np.sin(r)
+    c, s = math.cos(r), math.sin(r)
     return (-15.0 * c**4 + 12.0 * c**2 - 1.0) * s
 
 
 def _d2r2(r):
-    c, s = np.cos(r), np.sin(r)
+    c, s = math.cos(r), math.sin(r)
     return (60.0 * c**3 - 24.0 * c) * s**2 + (-15.0 * c**4 + 12.0 * c**2 - 1.0) * c
 
 
 def _r3(r):
-    return np.cos(r) * np.sin(r) ** 4
+    return math.cos(r) * math.sin(r) ** 4
 
 
 def _dr3(r):
-    c, s = np.cos(r), np.sin(r)
+    c, s = math.cos(r), math.sin(r)
     return -(s**5) + 4.0 * s**3 * c**2
 
 
 def _d2r3(r):
-    c, s = np.cos(r), np.sin(r)
+    c, s = math.cos(r), math.sin(r)
     return -13.0 * s**4 * c + 12.0 * s**2 * c**3
 
 
@@ -131,11 +133,11 @@ class L1Term(NamedTuple):
 #      + (4/pi) b r sin(th) cot(r) csc^2(r) d_th^2 + (4/pi) a csc^2(r) d_th^2.
 # Its coefficients are singular at the pole r = 0.
 L1_TERMS = (
-    L1Term("b", 4.0 / PI, lambda r: 1.0, np.sin, 2, 0),
-    L1Term("b", 2.0 / PI, lambda r: np.cos(r) / np.sin(r), np.sin, 1, 0),
-    L1Term("b", 4.0 / PI, lambda r: r / np.sin(r) ** 2, np.cos, 1, 1),
-    L1Term("b", 4.0 / PI, lambda r: r * np.cos(r) / np.sin(r) ** 3, np.sin, 0, 2),
-    L1Term("a", 4.0 / PI, lambda r: 1.0 / np.sin(r) ** 2, lambda theta: 1.0, 0, 2),
+    L1Term("b", 4.0 / PI, lambda r: 1.0, math.sin, 2, 0),
+    L1Term("b", 2.0 / PI, lambda r: math.cos(r) / math.sin(r), math.sin, 1, 0),
+    L1Term("b", 4.0 / PI, lambda r: r / math.sin(r) ** 2, math.cos, 1, 1),
+    L1Term("b", 4.0 / PI, lambda r: r * math.cos(r) / math.sin(r) ** 3, math.sin, 0, 2),
+    L1Term("a", 4.0 / PI, lambda r: 1.0 / math.sin(r) ** 2, lambda theta: 1.0, 0, 2),
 )
 
 
@@ -173,59 +175,60 @@ def pairing_terms(spec: PairingSpec) -> BilinearTermTable:
     """Term-by-term quadrature of integral of u_left * (L1 u_right) over the triangle.
 
     Each row of L1_TERMS gives one term, a product of a theta-integral and
-    an r-integral (area element sin r) evaluated by _NODES-point
-    Gauss-Legendre rules.
+    an r-integral (area element sin r), each a math.fsum over the same
+    _NODES-point Gauss-Legendre rule on [0, pi/2].
     """
     direction = dict(zip("ab", spec.direction))
     left, right = _MODES[spec.left], _MODES[spec.right]
-    rq, rw = gauss_legendre(0.0, PI / 2, _NODES)
-    tq, tw = gauss_legendre(0.0, PI / 2, _NODES)
+    nodes, weights = gauss_legendre(0.0, PI / 2, _NODES)
     nn = left.norm * right.norm
-    r_left = rw * left.radial[0](rq) * np.sin(rq)
-    theta_left = tw * left.angular(tq, 0)
+    r_left = [w * left.radial[0](x) * math.sin(x) for x, w in zip(nodes, weights)]
+    theta_left = [w * left.angular(x, 0) for x, w in zip(nodes, weights)]
     terms = tuple(
         term.constant * direction[term.component] * nn
-        * float(np.sum(theta_left * term.angular(tq) * right.angular(tq, term.theta_order)))
-        * float(np.sum(r_left * term.radial(rq) * right.radial[term.r_order](rq)))
+        * math.fsum(lw * term.angular(x) * right.angular(x, term.theta_order)
+                    for x, lw in zip(nodes, theta_left))
+        * math.fsum(lw * term.radial(x) * right.radial[term.r_order](x)
+                    for x, lw in zip(nodes, r_left))
         for term in L1_TERMS
     )
     return BilinearTermTable(terms, math.fsum(terms))
 
 
-def _pairing_totals(direction) -> dict:
-    """a * c_a + b * c_b of every closed-form pairing total (c_a, c_b) of
-    _EXPECTED_TOTALS, for a direction (a, b) or broadcast arrays of them;
-    raises ValueError unless every (a, b) passes geometry.check_direction."""
+def _form_totals(direction) -> tuple:
+    """(c1, c11, c12, c22) in the direction (a, b): the closed-form pairing
+    totals <L1 u1, u1>, <L1 u2_1, u2_1>, <L1 u2_1, u2_2> + <L1 u2_2, u2_1>
+    and <L1 u2_2, u2_2>, each a * c_a + b * c_b from _EXPECTED_TOTALS.
+    Raises ValueError unless (a, b) passes geometry.check_direction."""
     a, b = direction
     check_direction(a, b)
-    return {pair: a * ca + b * cb for pair, (ca, cb) in _EXPECTED_TOTALS.items()}
+    total = {pair: a * ca + b * cb for pair, (ca, cb) in _EXPECTED_TOTALS.items()}
+    return (total[("u1", "u1")], total[("u2_1", "u2_1")],
+            total[("u2_1", "u2_2")] + total[("u2_2", "u2_1")], total[("u2_2", "u2_2")])
 
 
 def lambda1_dot(direction) -> float:
     """Derivative of the first eigenvalue at t = 0: -<L1 u1, u1> = 28(a+b)/pi."""
-    return -_pairing_totals(direction)[("u1", "u1")]
+    return -_form_totals(direction)[0]
 
 
-def second_eigenvalue_form(direction) -> np.ndarray:
-    """Quadratic form q -> -<L1 u2, u2> on the second eigenspace, as a 2x2 matrix."""
-    total = _pairing_totals(direction)
-    off = -(total[("u2_1", "u2_2")] + total[("u2_2", "u2_1")]) / 2.0
-    return np.array([[-total[("u2_1", "u2_1")], off], [off, -total[("u2_2", "u2_2")]]])
+def second_eigenvalue_form(direction) -> tuple:
+    """Quadratic form q -> -<L1 u2, u2> on the second eigenspace, as a 2x2
+    tuple of rows."""
+    _, c11, c12, c22 = _form_totals(direction)
+    off = -c12 / 2.0
+    return ((-c11, off), (off, -c22))
 
 
-def gap_variation_grid(z, direction) -> np.ndarray:
-    """Gap variation I(z, (a, b)) over broadcast arrays of z, a and b.
+def gap_variation_grid(z: float, direction) -> float:
+    """Gap variation I(z, (a, b)) at one mixing angle z and direction (a, b).
 
     z is the mixing angle of the second eigenfunction, u2 = cos(z) u2_1
-    + sin(z) u2_2; every (a, b) must pass geometry.check_direction. Pass
-    z[:, None] against 1D a and b for the (z, b) grid.
+    + sin(z) u2_2; (a, b) must pass geometry.check_direction.
     """
-    total = _pairing_totals([np.asarray(c, dtype=float) for c in direction])
-    p, q = np.cos(z), np.sin(z)
-    u2_part = (p * p * total[("u2_1", "u2_1")]
-               + p * q * (total[("u2_1", "u2_2")] + total[("u2_2", "u2_1")])
-               + q * q * total[("u2_2", "u2_2")])
-    return -u2_part + total[("u1", "u1")]
+    c1, c11, c12, c22 = _form_totals(direction)
+    p, q = math.cos(z), math.sin(z)
+    return c1 - (p * p * c11 + p * q * c12 + q * q * c22)
 
 
 @dataclass(frozen=True)
@@ -237,12 +240,22 @@ class VariationMinimum:
 
 @dataclass(frozen=True)
 class VariationTable:
-    """I(z, b) on a grid: values[i, k] belongs to (z[i], b[k])."""
+    """I(z, b) on a grid: values[i][k] belongs to (z[i], b[k]). z and b are
+    tuples of floats, values a tuple of one array('d') row per z."""
 
-    z: np.ndarray
-    b: np.ndarray
-    values: np.ndarray
+    z: tuple
+    b: tuple
+    values: tuple
     minimum: VariationMinimum
+
+
+def _linspace(stop: float, num: int) -> tuple:
+    """num floats spanning [0, stop]: i * (stop / (num - 1)) and then stop
+    itself, as numpy.linspace(0, stop, num) makes them."""
+    if num == 1:
+        return (0.0,)
+    step = stop / (num - 1)
+    return tuple(i * step for i in range(num - 1)) + (stop,)
 
 
 def gap_variation_table(z_steps: int, b_steps: int, *, a=None, b=None) -> VariationTable:
@@ -251,28 +264,37 @@ def gap_variation_table(z_steps: int, b_steps: int, *, a=None, b=None) -> Variat
     Without a or b the directions are b_steps values of b spanning [0, 1]
     with a = sqrt(1 - b^2). Otherwise there is one direction,
     (sqrt(1 - b^2), b), with b = sqrt(1 - a^2) when only a is given; a
-    given a must equal sqrt(1 - b^2) to within 1e-9. Where several cells
-    share the minimal value, the first in z-major order (values.ravel())
-    is the minimum. Raises ValueError for step counts below 1 or a
-    direction off the unit circle.
+    given a must equal sqrt(1 - b^2) to within 1e-9. Each cell takes the
+    operations of gap_variation_grid, in the same order. Where several
+    cells share the minimal value, the first in z-major order is the
+    minimum. Raises ValueError for step counts below 1 or a direction off
+    the unit circle.
     """
     if z_steps < 1 or b_steps < 1:
         raise ValueError("step counts must be >= 1")
-    zs = np.linspace(0.0, 2.0 * PI, z_steps)
+    zs = _linspace(2.0 * PI, z_steps)
     if a is None and b is None:
-        bs = np.linspace(0.0, 1.0, b_steps)
-        a_values = np.sqrt(1.0 - bs**2)
+        bs = _linspace(1.0, b_steps)
+        a_values = [math.sqrt(1.0 - bv * bv) for bv in bs]
     else:
         if b is None:
             b = math.sqrt(max(0.0, 1.0 - a**2))
         derived = math.sqrt(max(0.0, 1.0 - b**2))
         if a is not None and not abs(a - derived) <= 1e-9:
             raise ValueError("direction must satisfy a = sqrt(1 - b^2)")
-        a_values, bs = np.array([derived]), np.array([b])
-    values = gap_variation_grid(zs[:, None], (a_values, bs))
-    iz, ib = np.unravel_index(np.argmin(values), values.shape)
-    minimum = VariationMinimum(float(values[iz, ib]), float(zs[iz]), float(bs[ib]))
-    return VariationTable(zs, bs, values, minimum)
+        a_values, bs = [derived], (float(b),)
+    columns = [_form_totals(d) for d in zip(a_values, bs)]
+    values = []
+    for zv in zs:
+        p, q = math.cos(zv), math.sin(zv)
+        pp, pq, qq = p * p, p * q, q * q
+        values.append(array("d", [c1 - (pp * c11 + pq * c12 + qq * c22)
+                                  for c1, c11, c12, c22 in columns]))
+    row_min = [min(row) for row in values]
+    iz = row_min.index(min(row_min))
+    ib = values[iz].index(row_min[iz])
+    minimum = VariationMinimum(row_min[iz], zs[iz], bs[ib])
+    return VariationTable(zs, bs, tuple(values), minimum)
 
 
 # printed closed-form values for every pairing term (b-part for I..IV, a-part for V)

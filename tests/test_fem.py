@@ -613,6 +613,34 @@ def test_slab_assembly_equals_the_whole_grid_bitwise(domain, n):
     assert np.array_equal(problem.mass.coef, mass)
 
 
+def _full_grid_stencil(loc, n, n_r):
+    """The stencil summed on the full (3, 3, n, n) grid of nodes and then
+    restricted to the retained rows and columns."""
+    nc = n - 1
+    loc = loc.reshape(nc, nc, 4, 4)
+    full = np.zeros((3, 3, n, n))
+    for a in range(4):
+        ra, ta = a % 2, a // 2
+        for b in range(4):
+            full[1 + b % 2 - ra, 1 + b // 2 - ta, ra:ra + nc, ta:ta + nc] += loc[:, :, a, b]
+    coef = full[:, :, :n_r, 1:n - 1].copy()
+    coef[:, 0, :, 0] = 0.0
+    coef[:, 2, :, -1] = 0.0
+    if n_r < n:
+        coef[2, :, -1, :] = 0.0
+    return coef
+
+
+@pytest.mark.parametrize("n", [8, 17, 40])
+@pytest.mark.parametrize("lune", [False, True])
+def test_stencil_sums_as_the_full_grid_bitwise(n, lune):
+    # _stencil adds into the retained window only; every retained entry
+    # takes the same additions, in the same order, as on the full grid
+    n_r = n if lune else n - 1
+    loc = np.random.default_rng(n).standard_normal(((n - 1) ** 2, 4, 4))
+    assert fem._stencil(loc, n, n_r).coef.tobytes() == _full_grid_stencil(loc, n, n_r).tobytes()
+
+
 def test_assembly_peak_stays_within_nine_stencils():
     # the Gauss-point fields of one slab of cell rows at a time: 6.9 stencil
     # sizes (3 x 3 x n x n doubles) observed, 13.2 with the whole grid's

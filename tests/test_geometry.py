@@ -112,14 +112,15 @@ def test_apex_offset_defining_identity():
 
 
 def test_check_direction():
-    b = np.linspace(0.0, 1.0, 201)
-    check_direction(np.sqrt(1.0 - b * b), b)
+    for b in np.linspace(0.0, 1.0, 201):
+        check_direction(math.sqrt(1.0 - b * b), float(b))
     check_direction(0.6, 0.8)
     check_direction(1.0 + 4e-13, 0.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        check_direction(np.array([0.6, -0.6]), np.array([0.8, 0.8]))
+    for a, b in ((-0.6, 0.8), (0.6, -0.8), (-1.0, 0.0)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_direction(a, b)
     for a, b in ((1.0 + 1e-12, 0.0), (0.7071067812, 0.7071067812), (math.nan, 1.0),
-                 (0.0, math.nan), (np.array([1.0, 3.0]), np.array([0.0, 4.0]))):
+                 (0.0, math.nan), (3.0, 4.0)):
         with pytest.raises(ValueError, match=r"a\^2 \+ b\^2 = 1"):
             check_direction(a, b)
 

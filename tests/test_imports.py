@@ -1,9 +1,11 @@
 """What `import spheregap` loads: its error types only. Every other public
 name and submodule resolves on first access through the package's name
-table, so the closed-form commands `spectrum` and `gap-curve` load no
-numpy. The finite-element module and the FEM commands need no scipy; only
-the Legendre ODE branch and the shift-invert fallback for deformations near
-the largest t import it. Each test runs a fresh interpreter."""
+table, so the closed-form commands `spectrum`, `gap-curve`, `variation`
+and `verify-appendix` load no numpy: the first variation and its
+quadrature check need math only. The finite-element module and the FEM
+commands need no scipy; only the Legendre ODE branch and the shift-invert
+fallback for deformations near the largest t import it. Each test runs a
+fresh interpreter."""
 import re
 import subprocess
 import sys
@@ -49,12 +51,27 @@ def test_closed_form_commands_load_no_numpy():
         "     '--beta-max-pi', '1.75', '--steps', '8'],\n"
         "    ['gap-curve', '--domain', 'triangle', '--beta-min', '0.2',\n"
         "     '--beta-max', '3', '--steps', '5', '--format', 'json'],\n"
+        "    ['variation', '--z-steps', '721', '--b-steps', '201'],\n"
+        "    ['variation', '--b', '0.5', '--z-steps', '37'],\n"
+        "    ['variation', '--a', '0.6', '--z-steps', '37'],\n"
+        "    ['variation', '--z-steps', '9', '--b-steps', '5', '--format', 'json'],\n"
+        "    ['verify-appendix'],\n"
+        "    ['verify-appendix', '--format', 'json'],\n"
         "]\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    codes = [cli.main(argv) for argv in commands]\n"
         "print(codes, len(out.getvalue()) > 0, 'numpy' in sys.modules)\n"
     )
-    assert _run(code).splitlines() == ["[0, 0, 0, 0] True False"]
+    assert _run(code).splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0, 0] True False"]
+
+
+def test_variation_loads_no_numpy():
+    code = (
+        "import sys\n"
+        "import spheregap.variation\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert _run(code).splitlines() == ["False"]
 
 
 def test_every_table_name_resolves_and_is_listed():

@@ -1,4 +1,5 @@
 """Tests for the closed-form spectra, gaps, eigenfunctions and normalization."""
+import functools
 import math
 import warnings
 
@@ -335,6 +336,51 @@ def test_normalization_constants_equilateral():
     for mode, ref in expected.items():
         got = normalization_constant(tri, mode)
         assert abs(got - ref) <= 1e-8 * ref
+
+
+@functools.cache
+def _leggauss(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _leggauss_norm_sq(spec, mode, n):
+    """The squared norm of normalization_constant from numpy's n-point rule."""
+    from spheregap.spectra import _radial_values
+
+    x, w = _leggauss(n)
+    rq, rw = 0.5 * spec.r_max * x + 0.5 * spec.r_max, 0.5 * spec.r_max * w
+    return float(np.sum(rw * _radial_values(spec, mode, rq) ** 2 * np.sin(rq)) * (0.5 * spec.beta))
+
+
+def test_normalization_matches_the_numpy_rule():
+    # the pure-Python rule moves the constants by rounding only: the beta in
+    # [pi/2, 3 pi/2], k <= 3, j <= 3 set of the eigenfunction benchmark
+    worst = 0.0
+    for beta_pi in (0.5, 0.625, 0.75, 0.875, 1.0, 1.125, 1.25, 1.375, 1.5):
+        for spec in (LuneSpec(beta_pi * PI), TriangleSpec(beta_pi * PI)):
+            for k in range(1, 4):
+                for j in range(4):
+                    mode = ModeIndex(k, j)
+                    ref = 1.0 / math.sqrt(_leggauss_norm_sq(spec, mode, 200))
+                    worst = max(worst, abs(normalization_constant(spec, mode) - ref) / ref)
+    assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("domain, beta, k, j", [
+    ("triangle", 0.75, 2, 3), ("triangle", 0.75, 3, 2), ("triangle", 0.75, 3, 3),
+    ("lune", 0.75, 3, 3), ("triangle", 1.0, 3, 3),
+])
+def test_normalization_settles_as_with_the_numpy_rule(domain, beta, k, j):
+    # on thin domains the full-versus-half check fails where it failed with
+    # numpy's rule (the Legendre series loses digits there)
+    spec, mode = (LuneSpec if domain == "lune" else TriangleSpec)(beta), ModeIndex(k, j)
+    full, half = (_leggauss_norm_sq(spec, mode, n) for n in (200, 100))
+    if abs(full - half) > 1e-9 * abs(full):
+        with pytest.raises(ConvergenceError):
+            normalization_constant(spec, mode)
+    else:
+        expected = 1.0 / math.sqrt(full)
+        assert normalization_constant(spec, mode) == pytest.approx(expected, rel=1e-10)
 
 
 def test_normalization_lune_against_tensor_quadrature():

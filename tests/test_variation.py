@@ -76,18 +76,23 @@ def test_terms_separability_against_2d_quadrature():
     """Each separated term must agree with the plain 2D tensor integral."""
     from spheregap.variation import _MODES
 
-    rq, rw = gauss_legendre(0.0, PI / 2, 64)
-    tq, tw = gauss_legendre(0.0, PI / 2, 64)
+    rq, rw = map(np.asarray, gauss_legendre(0.0, PI / 2, 64))
+    tq, tw = map(np.asarray, gauss_legendre(0.0, PI / 2, 64))
     R, T = np.meshgrid(rq, tq, indexing="ij")
     W = np.outer(rw, tw)
+
+    def field(mode, r_order, theta_order):
+        # the library's scalar mode functions at every point of the grid
+        radial = np.vectorize(mode.radial[r_order])(R)
+        angular = np.vectorize(lambda t: mode.angular(t, theta_order))(T)
+        return mode.norm * radial * angular
+
     for left, right in [("u1", "u1"), ("u2_2", "u2_1"), ("u2_2", "u2_2")]:
         ml, mr = _MODES[left], _MODES[right]
-        u_l = ml.norm * ml.radial[0](R) * ml.angular(T, 0)
+        u_l = field(ml, 0, 0)
         sin_r, cos_r = np.sin(R), np.cos(R)
-        d_r = mr.norm * mr.radial[1](R) * mr.angular(T, 0)
-        d_rr = mr.norm * mr.radial[2](R) * mr.angular(T, 0)
-        d_rt = mr.norm * mr.radial[1](R) * mr.angular(T, 1)
-        d_tt = mr.norm * mr.radial[0](R) * mr.angular(T, 2)
+        d_r, d_rr = field(mr, 1, 0), field(mr, 2, 0)
+        d_rt, d_tt = field(mr, 1, 1), field(mr, 0, 2)
         b_terms = (
             (4 / PI) * np.sum(W * u_l * np.sin(T) * d_rr * sin_r),
             (2 / PI) * np.sum(W * u_l * np.sin(T) * cos_r / sin_r * d_r * sin_r),
@@ -188,11 +193,13 @@ def test_gap_variation_matches_closed_form():
 
 
 def test_gap_variation_direction_validation():
-    with pytest.raises(ValueError):
-        gap_variation_grid(0.3, (0.9, 0.9))
-    b = np.array([0.0, np.nan, 1.0])
     with pytest.raises(ValueError, match=r"a\^2 \+ b\^2 = 1"):
-        gap_variation_grid(np.zeros((4, 1)), (np.sqrt(1.0 - b * b), b))
+        gap_variation_grid(0.3, (0.9, 0.9))
+    with pytest.raises(ValueError, match="nonnegative"):
+        gap_variation_grid(0.3, (-0.6, 0.8))
+    for direction in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match=r"a\^2 \+ b\^2 = 1"):
+            gap_variation_grid(0.0, direction)
 
 
 def test_minimum_on_the_pure_a_branch():
@@ -215,22 +222,43 @@ def test_grid_step_counts_must_be_positive():
             gap_variation_table(z_steps, b_steps, b=0.5)
 
 
+def test_grid_equals_the_broadcast_evaluation():
+    # every cell against numpy in the broadcast form the grid once took: the
+    # same linspace, the same closed-form totals and the same operations
+    table = gap_variation_table(721, 201)
+    zs, bs = np.linspace(0.0, 2.0 * PI, 721), np.linspace(0.0, 1.0, 201)
+    assert table.z == tuple(zs.tolist()) and table.b == tuple(bs.tolist())
+    a = np.sqrt(1.0 - bs**2)
+    total = {pair: a * ca + bs * cb for pair, (ca, cb) in variation._EXPECTED_TOTALS.items()}
+    p, q = np.cos(zs[:, None]), np.sin(zs[:, None])
+    u2_part = (p * p * total[("u2_1", "u2_1")]
+               + p * q * (total[("u2_1", "u2_2")] + total[("u2_2", "u2_1")])
+               + q * q * total[("u2_2", "u2_2")])
+    expected = -u2_part + total[("u1", "u1")]
+    # a row may differ only where numpy's cos or sin differs from math's
+    same_trig = [np.cos(z) == math.cos(z) and np.sin(z) == math.sin(z) for z in table.z]
+    got = np.asarray(table.values)
+    assert any(same_trig)
+    assert np.array_equal(got[same_trig], expected[same_trig])
+
+
 def test_grid_is_exact_to_rounding():
     # I(z, b) at a seeded sample of the grid the variation command prints,
     # against mpmath at the same float z, b and a = sqrt(1 - b^2)
     table = gap_variation_table(721, 201)
-    a_values = np.sqrt(1.0 - table.b**2)
+    zs, bs, values = map(np.asarray, (table.z, table.b, table.values))
+    a_values = np.sqrt(1.0 - bs**2)
     rng = np.random.default_rng(97)
     cells = zip(rng.integers(0, 721, 3000), rng.integers(0, 201, 3000))
     worst = 0.0
     with mpmath.workdps(40):
         for iz, ib in cells:
-            a, b = mpmath.mpf(a_values[ib]), mpmath.mpf(table.b[ib])
-            p, q = mpmath.cos(mpmath.mpf(table.z[iz])), mpmath.sin(mpmath.mpf(table.z[iz]))
+            a, b = mpmath.mpf(a_values[ib]), mpmath.mpf(bs[ib])
+            p, q = mpmath.cos(mpmath.mpf(zs[iz])), mpmath.sin(mpmath.mpf(zs[iz]))
             # v^T Q v - lambda1' with v = (cos z, sin z)
             exact = (p * p * (44 * a + 77 * b) - 2 * p * q * 11 * mpmath.sqrt(3) * b
                      + q * q * (88 * a + 55 * b) - 28 * (a + b)) / mpmath.pi
-            worst = max(worst, float(abs(table.values[iz, ib] - exact) / exact))
+            worst = max(worst, float(abs(values[iz, ib] - exact) / exact))
     assert worst <= 2e-15
 
 
@@ -238,10 +266,11 @@ def test_variation_table_one_direction():
     # a single direction ignores b_steps; b follows from a when only a is given
     for kwargs in ({"b": 0.8}, {"a": 0.6}, {"a": 0.6, "b": 0.8}):
         table = gap_variation_table(37, 5, **kwargs)
-        assert table.values.shape == (37, 1)
+        values = np.asarray(table.values)
+        assert values.shape == (37, 1)
         assert table.b[0] == pytest.approx(0.8, abs=1e-15)
-        iz = int(np.argmin(table.values[:, 0]))
-        assert table.minimum.value == table.values[iz, 0]
+        iz = int(np.argmin(values[:, 0]))
+        assert table.minimum.value == values[iz, 0]
         assert table.minimum.z == table.z[iz] and table.minimum.b == table.b[0]
         assert table.minimum.value == pytest.approx(
             gap_variation_I_closed(table.minimum.z, 0.8), abs=1e-12)
@@ -285,11 +314,12 @@ def test_grid_columns_attain_the_exact_slope():
     # of the form's eigenvalues, so a z step dz leaves the column minimum at
     # most R (1 - cos dz) above the exact one
     table = gap_variation_table(721, 201)
-    a = np.sqrt(1.0 - table.b**2)
-    exact = _exact_gap_slope(a, table.b)
-    column_min = table.values.min(axis=0)
+    bs = np.asarray(table.b)
+    a = np.sqrt(1.0 - bs**2)
+    exact = _exact_gap_slope(a, bs)
+    column_min = np.asarray(table.values).min(axis=0)
     dz = table.z[1] - table.z[0]
-    spacing_bound = 22.0 * np.sqrt(1.0 - a * table.b) / PI * (1.0 - math.cos(dz))
+    spacing_bound = 22.0 * np.sqrt(1.0 - a * bs) / PI * (1.0 - math.cos(dz))
     assert np.all(exact <= column_min + 1e-13)
     assert np.all(column_min - exact <= spacing_bound + 1e-13)
     # the slope is smallest, 16/pi, exactly on the axes ab = 0
