@@ -44,8 +44,7 @@ _LAZY = {
     name: module
     for module, names in (
         ("geometry", ("DeformationParams", "apex_offset", "side_distance")),
-        ("special", ("LegendreParams", "gamma_fn", "legendre_p", "legendre_p_at_zero",
-                     "legendre_p_dx")),
+        ("special", ("gamma_fn", "legendre_p", "legendre_p_at_zero", "legendre_p_dx")),
         ("spectra", ("LuneSpec", "ModeIndex", "SpectrumEntry", "TriangleSpec",
                      "eigenfunction_eval", "eigenvalue", "gap", "normalization_constant",
                      "spectrum")),

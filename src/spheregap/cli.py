@@ -108,8 +108,6 @@ def _resolve_beta(args, name: str = "beta") -> float:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
     beta = _resolve_beta(args)
     spec = _DOMAINS[args.domain](beta)
     entries = spectra.spectrum(spec, args.count)

@@ -2,7 +2,8 @@
 
 Evaluates the Ferrers function of the first kind P_l^mu(x) on (-1, 1] for
 real degree l and order mu <= 0, together with the Gamma function and the
-closed-form value P_l^mu(0). These are the radial building blocks of the
+closed-form value P_l^mu(0) and slope dP_l^mu/dx at x = 0 (the derivative
+is taken there only). These are the radial building blocks of the
 separated Dirichlet eigenfunctions on spherical lunes and half-lune
 triangles: there the order is -k*pi/beta and the degree exceeds |mu| by a
 nonnegative integer.
@@ -26,7 +27,6 @@ finite for mu <= 0. For x < 0 two routes are used:
   scheme at absolute tolerance 1e-12. Only this branch imports scipy.
 """
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,29 +55,6 @@ def gamma_fn(x: float) -> float:
 
 def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
     return x <= tol and abs(x - round(x)) < tol
-
-
-@dataclass(frozen=True)
-class LegendreParams:
-    """Validated (degree, order) pair admissible as a radial eigenfunction.
-
-    Admissible means order <= 0 and degree = |order| + m for a nonnegative
-    integer m. Arbitrary pairs can still be evaluated through the plain
-    module functions; this container is the gate used by the spectrum code.
-    """
-
-    degree: float
-    order: float
-
-    def __post_init__(self):
-        if self.order > 0:
-            raise ValueError(f"order must be <= 0, got {self.order}")
-        m = self.degree - abs(self.order)
-        if m < -_INTEGER_TOL or abs(m - round(m)) > _INTEGER_TOL:
-            raise ValueError(
-                f"degree {self.degree} is not |order| + m with integer m >= 0 "
-                f"(order {self.order})"
-            )
 
 
 def _hyp2f1_batch(a: float, b: float, c: float, w, tol: float, max_terms: int):
@@ -118,13 +95,16 @@ def _series_many(degree, order, x):
     if rest.any():
         xr = x[rest]
         w = 0.5 * (1.0 - xr)
-        vals, conv, resid = _hyp2f1_batch(
-            degree + 1.0, -degree, 1.0 - order, w, _SERIES_TOL, _MAX_TERMS
-        )
-        if not conv.all():
-            raise ConvergenceError(
-                "hypergeometric series did not converge", float(resid[~conv].max())
+        # a diverging sum overflows to inf or nan; it then never converges
+        # and is reported below, so numpy need not warn about it
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals, conv, resid = _hyp2f1_batch(
+                degree + 1.0, -degree, 1.0 - order, w, _SERIES_TOL, _MAX_TERMS
             )
+        if not conv.all():
+            reached = float(resid[~conv].max())
+            raise ConvergenceError("hypergeometric series did not converge",
+                                   reached if math.isfinite(reached) else math.inf)
         pref = ((1.0 + xr) / (1.0 - xr)) ** (0.5 * order) / gamma_fn(1.0 - order)
         out[rest] = pref * vals
     return out
@@ -136,7 +116,7 @@ def _ode_continue(degree, order, x_neg):
 
     lam = degree * (degree + 1.0)
     mu2 = order * order
-    y0 = [legendre_p_at_zero(degree, order), legendre_p_dx(degree, order, 0.0)]
+    y0 = [legendre_p_at_zero(degree, order), legendre_p_dx(degree, order)]
 
     def rhs(x, y):
         one_m_x2 = 1.0 - x * x
@@ -199,21 +179,17 @@ def legendre_p(degree: float, order: float, x: float) -> float:
     return float(legendre_p_many(degree, order, np.array([x]))[0])
 
 
-def legendre_p_dx(degree: float, order: float, x: float) -> float:
-    """Derivative dP_l^mu/dx at x in [0, 1), from the recurrence DLMF 14.10.5
+def legendre_p_dx(degree: float, order: float) -> float:
+    """Slope dP_l^mu/dx at x = 0, from the recurrence DLMF 14.10.5
 
         (1 - x^2) dP_l^mu/dx = (mu - l - 1) P_{l+1}^mu(x) + (l + 1) x P_l^mu(x),
 
-    which at x = 0 is the closed form (mu - l - 1) P_{l+1}^mu(0).
+    which at x = 0 is the closed form (mu - l - 1) P_{l+1}^mu(0). No other
+    point is offered: both callers, the triangle's edge scale and the start
+    of the ODE branch, need the slope at zero only.
     """
     _check_parameters(degree, order)
-    if not 0.0 <= x < 1.0:
-        raise DomainError("derivative path requires x in [0, 1)")
-    if x == 0.0:
-        return (order - degree - 1.0) * legendre_p_at_zero(degree + 1.0, order)
-    p_up = legendre_p(degree + 1.0, order, x)
-    p = legendre_p(degree, order, x)
-    return ((order - degree - 1.0) * p_up + (degree + 1.0) * x * p) / (1.0 - x * x)
+    return (order - degree - 1.0) * legendre_p_at_zero(degree + 1.0, order)
 
 
 def legendre_p_at_zero(degree: float, order: float) -> float:

@@ -168,24 +168,19 @@ def _numeric():
     return numpy, quadrature, special
 
 
-def legendre_params_for(spec, mode: ModeIndex):
-    """Degree and order (a LegendreParams) of the radial factor of the given mode."""
-    return _numeric()[2].LegendreParams(spec.degree(mode), -(mode.k * math.pi / spec.beta))
-
-
 def _radial_values(spec, mode: ModeIndex, r):
     np, _, special = _numeric()
-    params = legendre_params_for(spec, mode)
+    degree, order = spec.degree(mode), -(mode.k * math.pi / spec.beta)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     x = np.cos(r)
     # south pole r = pi maps to x = -1; admissible modes vanish there
     x_clip = np.where(x <= -1.0, 0.0, x)
-    vals = special.legendre_p_many(params.degree, params.order, x_clip)
+    vals = special.legendre_p_many(degree, order, x_clip)
     vals = np.where(x <= -1.0, 0.0, vals)
     if isinstance(spec, TriangleSpec):
         # slope of P in x = cos(r) at the r = pi/2 edge; nonzero because the
         # radial factor vanishes there and solves a second-order ODE
-        slope = special.legendre_p_dx(params.degree, params.order, 0.0)
+        slope = special.legendre_p_dx(degree, order)
         if slope == 0.0 or not math.isfinite(slope):
             raise DomainError(f"radial scale P'(0) = {slope} of mode ({mode.k}, {mode.j}) "
                               f"at beta = {spec.beta} is zero or not finite")

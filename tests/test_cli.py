@@ -74,9 +74,9 @@ def test_spectrum_lune_first_eigenvalue(capsys):
 
 
 def test_spectrum_count_zero_is_usage_error(capsys):
-    code, _ = _run(capsys, "spectrum", "--domain", "triangle",
-                   "--beta-pi", "0.5", "--count", "0")
-    assert code == 1
+    err = _usage_error(capsys, "spectrum", "--domain", "triangle",
+                       "--beta-pi", "0.5", "--count", "0")
+    assert "count" in err
 
 
 def test_unknown_flag_exits_one():

@@ -13,7 +13,6 @@ import scipy.special as sps
 
 from spheregap.errors import DomainError, GammaPoleError
 from spheregap.special import (
-    LegendreParams,
     _hyp2f1_batch,
     gamma_fn,
     legendre_p,
@@ -176,28 +175,24 @@ def test_at_zero_matches_series_on_admissible_pairs():
 # ------------------------------------------------- derivative and errors
 
 
-def test_derivative_matches_finite_difference():
-    rng = np.random.default_rng(19)
-    for _ in range(15):
-        mu = -float(rng.uniform(0.3, 4.0))
-        ell = -mu + float(rng.integers(0, 5))
-        x = float(rng.uniform(0.05, 0.9))
-        h = 1e-6
-        fd = (legendre_p(ell, mu, x + h) - legendre_p(ell, mu, x - h)) / (2.0 * h)
-        an = legendre_p_dx(ell, mu, x)
-        assert abs(fd - an) < 1e-7 * max(1.0, abs(an))
+# thin triangles; the four triangle modes whose normalization fails on the
+# benchmark (beta = 0.75 and 1 rad); the benchmark's 108 triangle modes,
+# beta from pi/2 to 3 pi/2 with k <= 3 and j <= 3
+_SLOPE_CASES = ([(0.3, 3, 2), (0.2, 3, 0), (0.75, 2, 3), (0.75, 3, 2), (0.75, 3, 3), (1.0, 3, 3)]
+                + [(f * math.pi, k, j) for f in (0.5, 0.625, 0.75, 0.875, 1, 1.125, 1.25, 1.375, 1.5)
+                   for k in range(1, 4) for j in range(4)])
 
 
-@pytest.mark.parametrize("beta, k, j", [(0.3, 3, 2), (0.2, 3, 0)])
+@pytest.mark.parametrize("beta, k, j", _SLOPE_CASES)
 def test_triangle_edge_slope_against_mpmath(beta, k, j):
-    # the slope at x = 0 that scales the thin-triangle radial factor
+    # the slope at x = 0 that scales the triangle's radial factor
     import mpmath
 
     x = k * math.pi / beta
     ell, mu = x + 2 * j + 1, -x
-    with mpmath.workdps(40):
+    with mpmath.workdps(30):
         ref = mpmath.diff(lambda y: mpmath.legenp(ell, mu, y), 0)
-        assert abs(legendre_p_dx(ell, mu, 0.0) - ref) <= 1e-12 * abs(ref)
+        assert abs(legendre_p_dx(ell, mu) - ref) <= 1e-14 * abs(ref)
 
 
 def test_domain_errors():
@@ -216,25 +211,10 @@ def test_nan_arguments_are_domain_errors():
                  lambda: legendre_p(2.0, nan, 0.3),
                  lambda: legendre_p_many(2.0, -1.0, np.array([0.3, nan])),
                  lambda: legendre_p_many(nan, -1.0, np.array([0.3])),
-                 lambda: legendre_p_dx(2.0, -1.0, nan),
-                 lambda: legendre_p_dx(nan, -1.0, 0.3),
-                 lambda: legendre_p_dx(2.0, nan, 0.0)):
+                 lambda: legendre_p_dx(nan, -1.0),
+                 lambda: legendre_p_dx(2.0, nan)):
         with pytest.raises(DomainError):
             call()
-
-
-def test_params_validation():
-    LegendreParams(3.0, -2.0)
-    LegendreParams(3.5, -2.5)
-    LegendreParams(4.5, -2.5)
-    with pytest.raises(ValueError):
-        LegendreParams(1.2, -2.0)  # degree below |order|
-    with pytest.raises(ValueError):
-        LegendreParams(2.7, -2.0)  # degree - |order| not an integer
-    with pytest.raises(ValueError):
-        LegendreParams(3.0, 2.0)  # positive order
-    with pytest.raises(ValueError):
-        LegendreParams(5.1, -4.0)
 
 
 # ---------------------------------------------------------------- hypergeometric series

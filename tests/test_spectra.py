@@ -17,7 +17,6 @@ from spheregap.spectra import (
     eigenvalue,
     gap,
     gap_regime,
-    legendre_params_for,
     normalization_constant,
     spectrum,
 )
@@ -295,6 +294,16 @@ def test_underflowing_thin_domains_raise_domain_error():
             normalization_constant(spec, mode)
 
 
+def test_diverging_series_reports_an_infinite_residual():
+    # at beta = 1e-5 the Legendre series overflows before it could converge;
+    # the error carries inf rather than the nan of an inf/inf ratio
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="did not converge") as err:
+            eigenfunction_eval(LuneSpec(1e-5), ModeIndex(1, 0), 0.3, 5e-6)
+    assert err.value.residual == math.inf
+
+
 def _fd_sphere_laplacian(spec, mode, r, theta, h=1e-4):
     """Round-sphere Laplacian via central differences of the eigenfunction."""
     u = lambda rr, tt: eigenfunction_eval(spec, mode, rr, tt)
@@ -413,9 +422,3 @@ def test_normalized_eigenfunction_has_unit_norm():
         total += wr * math.sin(r) * row
     assert abs(c * c * total - 1.0) < 1e-9
 
-
-def test_legendre_params_for_modes():
-    params = legendre_params_for(TriangleSpec(PI / 2), ModeIndex(1, 0))
-    assert (params.degree, params.order) == (3.0, -2.0)
-    params = legendre_params_for(LuneSpec(PI / 2), ModeIndex(2, 1))
-    assert (params.degree, params.order) == (5.0, -4.0)

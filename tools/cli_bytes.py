@@ -8,19 +8,28 @@ operations of perfbench seeds 0 to 4, each run once per checkout as
 SPHEREGAP_THREADS=1 so that FEM digits do not depend on the core count.
 The command list comes from this checkout's README.md and
 perfbench/workloads.py. One line per command says `identical`, or gives
-the number of differing stdout lines and any change of exit code. Exits
-with 1 when any command differs.
+the number of differing stdout lines and any change of exit code.
+
+Then each checkout's perfbench/eigen_driver.py runs the `eigenfunctions`
+job list of each of those seeds, also with one BLAS thread. One line per
+seed says whether every normalized value (compared by its repr, so
+bitwise) and every error string of the two checkouts is equal. Exits
+with 1 when any command or seed differs.
 """
 import itertools
+import json
 import os
 import random
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = range(5)
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 
 def _readme_commands():
@@ -31,17 +40,44 @@ def _readme_commands():
 
 
 def _workload_commands():
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
     return [op.args for seed in SEEDS for op in workloads.cli(random.Random(seed)).ops]
 
 
+def _env(checkout: Path):
+    return dict(os.environ, PYTHONPATH=str(checkout / "src"), SPHEREGAP_THREADS="1")
+
+
 def _run(checkout: Path, args):
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), SPHEREGAP_THREADS="1")
     out = subprocess.run([sys.executable, "-m", "spheregap.cli", *args], cwd=checkout,
-                         env=env, capture_output=True, text=True)
+                         env=_env(checkout), capture_output=True, text=True)
     return out.returncode, out.stdout.splitlines()
+
+
+def _eigen_results(checkout: Path, jobs_path: Path):
+    """(repr of the values, error) per job, from the checkout's own driver."""
+    result_path = jobs_path.with_name("result.json")
+    subprocess.run([sys.executable, str(checkout / "perfbench" / "eigen_driver.py"),
+                    str(jobs_path), str(result_path)], cwd=checkout, env=_env(checkout),
+                   check=True)
+    jobs = json.loads(result_path.read_text())["jobs"]
+    return [(repr(job["values"]), job["error"]) for job in jobs]
+
+
+def _compare_eigenfunctions(other: Path) -> int:
+    """Print one line per seed; return the number of seeds that differ."""
+    differing = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs_path = Path(tmp) / "jobs.json"
+        for seed in SEEDS:
+            jobs_path.write_text(json.dumps(list(workloads.eigenfunctions(random.Random(seed)).jobs)))
+            mine, theirs = (_eigen_results(tree, jobs_path) for tree in (ROOT, other))
+            changed = sum(a != b for a, b in zip(mine, theirs))
+            errors = sum(error is not None for _, error in mine)
+            verdict = "identical" if changed == 0 else f"{changed} of {len(mine)} jobs differ"
+            differing += changed != 0
+            print(f"{verdict}: eigenfunctions seed {seed} ({len(mine)} jobs, {errors} errors)",
+                  flush=True)
+    return differing
 
 
 def main(argv) -> int:
@@ -60,7 +96,9 @@ def main(argv) -> int:
         differing += verdict != "identical"
         print(f"{verdict}: spheregap {shlex.join(args)}", flush=True)
     print(f"{len(commands)} commands, {differing} differ")
-    return 1 if differing else 0
+    differing_seeds = _compare_eigenfunctions(other)
+    print(f"{len(SEEDS)} eigenfunctions seeds, {differing_seeds} differ")
+    return 1 if differing or differing_seeds else 0
 
 
 if __name__ == "__main__":
