@@ -31,7 +31,7 @@ inverse transform. Near the largest t of a direction K0 preconditions K(t)
 poorly. LOBPCG stops only inside the residual gate; a run that reaches its
 iteration cap or whose Rayleigh-Ritz step breaks down hands the problem to
 ARPACK in shift-invert mode with a sparse LU of K(t). Every answer passes
-the same residual check on the 2D K and M.
+the same relative residual check on the 2D K and M.
 
 Independent of the closed-form spectra, this provides numeric eigenvalues
 lambda_i(t), gaps, and finite-difference gap slopes for the deformation
@@ -60,13 +60,10 @@ _ROUND = DeformationParams(1.0, 0.0, 0.0)
 # them that the LOBPCG guard block is these 3 pairs alone
 _GAP_MODES = 3
 
-# largest ||K v - lambda M v|| / ||M v|| that solve_smallest accepts
-_RESIDUAL_TOL = 1e-6
-# LOBPCG stops once its m leading pairs have ||K v - lambda M v|| / ||M v||
-# at or below min(_RESIDUAL_TOL, _LOBPCG_RTOL |lambda|), inside the gate.
-# Where the gate lies below the iteration's rounding floor (8e-12 |lambda|
-# at n = 256), LOBPCG reaches its cap and shift-invert answers
-_LOBPCG_RTOL = 1e-9
+# largest relative residual ||K v - lambda M v|| / (|lambda| ||M v||) of an
+# eigenpair: LOBPCG stops and locks pairs there, and solve_smallest accepts
+# no answer above it
+_RESIDUAL_RTOL = 1e-9
 # iterations before the shift-invert path takes over. t = 0.05 takes 12 at
 # n = 256 and t = 1 takes 31 at n = 64; 0.8 of the largest t along (0, 1)
 # takes 118 at n = 64, where shift-invert costs about 15 iterations
@@ -475,13 +472,22 @@ def assemble(domain, grid_n: int) -> DiscreteEigenproblem:
     return DiscreteEigenproblem(stiffness, mass, factors, separable)
 
 
+def _relative_residuals(vals, kx, mx, out=None) -> np.ndarray:
+    """||K x - lambda M x|| / (|lambda| ||M x||) of each pair of a block,
+    from the K- and M-images of its vectors as rows; the rows
+    K x - lambda M x go to out when it is given."""
+    scale = np.abs(vals) * np.linalg.norm(mx, axis=1)
+    r = np.multiply(vals[:, None], mx, out=out)
+    np.subtract(kx, r, out=r)
+    return np.linalg.norm(r, axis=1) / scale
+
+
 def _worst_residual(problem: DiscreteEigenproblem, vals, vecs) -> float:
-    """Largest ||K v - lambda M v|| / ||M v|| over the pairs; inf if there are none."""
+    """Largest relative residual of the pairs, the columns of vecs; inf if none."""
     if len(vals) == 0:
         return math.inf
-    mv = problem.mass @ vecs
-    res = np.linalg.norm(problem.stiffness @ vecs - mv * vals, axis=0)
-    return float(np.max(res / np.linalg.norm(mv, axis=0)))
+    kv, mv = problem.stiffness @ vecs, problem.mass @ vecs
+    return float(np.max(_relative_residuals(vals, kv.T, mv.T)))
 
 
 def _ritz(gram_a, gram_b, k):
@@ -502,13 +508,11 @@ def _lobpcg(problem: DiscreteEigenproblem, k: int, m: int):
     problem.factors, those of the t = 0 problem of its grid: started from
     their k smallest eigenvectors and preconditioned by their exact K0^-1.
 
-    The m leading pairs must reach ||r|| <= tol ||M v||, with tol
-    min(_RESIDUAL_TOL, _LOBPCG_RTOL |lambda|), so a returned pair always
-    passes solve_smallest's gate; the rest of the block guards their
-    convergence, and pairs that meet the rule stop taking search directions
-    (soft locking). Returns None when they have not met it after
-    _LOBPCG_MAX_ITER iterations, or when the Rayleigh-Ritz step breaks down
-    (LinAlgError).
+    The m leading pairs must pass solve_smallest's gate, a relative residual
+    of _RESIDUAL_RTOL; the rest of the block guards their convergence, and
+    pairs that pass it stop taking search directions (soft locking). Returns
+    None when they have not passed it after _LOBPCG_MAX_ITER iterations, or
+    when the Rayleigh-Ritz step breaks down (LinAlgError).
 
     The basis [x | w | p] and its K- and M-images live in one set of
     preallocated (3k, n) buffers: rows [0, k) hold x, the search directions
@@ -543,10 +547,8 @@ def _lobpcg(problem: DiscreteEigenproblem, k: int, m: int):
             block[:k] = scratch[0]
         x, ax, bx = (block[:k] for block in basis)
         # the residuals, in rows that w overwrites once they are used
-        r = np.multiply(vals[:, None], bx, out=basis[0][k:2 * k])
-        np.subtract(ax, r, out=r)
-        res = np.linalg.norm(r, axis=1) / np.linalg.norm(bx, axis=1)
-        active = res > np.minimum(_RESIDUAL_TOL, _LOBPCG_RTOL * np.abs(vals))
+        r = basis[0][k:2 * k]
+        active = _relative_residuals(vals, ax, bx, r) > _RESIDUAL_RTOL
         if not active[:m].any():
             return vals[:m], x[:m].copy().T
         if it == _LOBPCG_MAX_ITER:
@@ -593,15 +595,16 @@ def _solve_deformed(problem: DiscreteEigenproblem, m: int):
     guard block of the t = 0 cluster of lambda_m, with problem.factors, the
     factors that solve the t = 0 problem of its grid: started from its
     eigenvectors and preconditioned by the exact inverse of K0. The dense
-    pencil when that block does not fit three times into the problem;
-    shift-invert ARPACK for every LOBPCG run that does not end inside the
-    residual gate: one that reaches its cap, as it does near the largest t
-    of a direction, where K0 no longer preconditions K(t), or whose
-    Rayleigh-Ritz step breaks down."""
+    pencil, whose Rayleigh quotients keep the digits that 1 / (1 / lambda)
+    loses at the top of the spectrum, when that block does not fit three
+    times into the problem; shift-invert ARPACK for every LOBPCG run that
+    does not end inside the gate: one that reaches its cap, as near the
+    largest t of a direction, or whose Rayleigh-Ritz step breaks down."""
     block = problem.factors.guard_block(m)
     if 3 * block > problem.num_dof:
-        vals, vecs = _pencil_eigh(problem.stiffness.toarray(), problem.mass.toarray())
-        return vals[:m], vecs[:, :m]
+        vecs = _pencil_eigh(problem.stiffness.toarray(), problem.mass.toarray())[1][:, :m]
+        kv, mv = problem.stiffness @ vecs, problem.mass @ vecs
+        return np.sum(vecs * kv, axis=0) / np.sum(vecs * mv, axis=0), vecs
     found = _lobpcg(problem, block, m)
     return _shift_invert(problem, m) if found is None else found
 
@@ -617,15 +620,10 @@ def solve_smallest(problem: DiscreteEigenproblem, m: int):
     run that reaches its iteration cap or whose Rayleigh-Ritz step breaks
     down hands the problem to shift-invert ARPACK with a sparse LU of K,
     and when the problem is too small for the block, its dense pencil
-    solves it. Every answer must have residuals
-    ||K v - lambda M v|| / ||M v|| <= 1e-6 on the 2D K and M, or
+    solves it. Every answer must have relative residuals
+    ||K v - lambda M v|| / (|lambda| ||M v||) <= 1e-9 on the 2D K and M, or
     ConvergenceError is raised with the worst one; when ARPACK does not
-    converge, it carries the worst residual of the pairs ARPACK returned.
-    The bound is absolute, while lambda reaches 1e5 to 1e8 near the largest
-    t of a direction and the top of the discrete spectrum 1e5 to 1e7 on
-    moderate grids. Shift-invert's own residual can then miss the gate, so
-    such solves, and requests for nearly all num_dof pairs from n = 24 on,
-    can raise ConvergenceError.
+    converge, it carries the worst one of the pairs ARPACK returned.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -636,7 +634,7 @@ def solve_smallest(problem: DiscreteEigenproblem, m: int):
     else:
         vals, vecs = _solve_deformed(problem, m)
     worst = _worst_residual(problem, vals, vecs)
-    if worst > _RESIDUAL_TOL:
+    if worst > _RESIDUAL_RTOL:
         raise ConvergenceError("eigen-residual above tolerance", worst)
     return vals, vecs
 

@@ -43,8 +43,11 @@ def gamma_fn(x: float) -> float:
     """Gamma function on the real line, at least 12 significant digits for |x| <= 50.
 
     Raises GammaPoleError at the poles x = 0, -1, -2, ..., and DomainError
-    where Gamma(x) exceeds the float range (x above about 171.6).
+    for a non-finite x or where Gamma(x) exceeds the float range (x above
+    about 171.6).
     """
+    if not math.isfinite(x):
+        raise DomainError(f"gamma argument must be finite, got {x}")
     if x <= 0 and abs(x - round(x)) < 1e-14:
         raise GammaPoleError(f"gamma pole at x = {x}")
     try:
@@ -141,11 +144,12 @@ def _ode_continue(degree, order, x_neg):
 
 
 def _check_parameters(degree: float, order: float) -> None:
-    """Raise DomainError unless the degree is a number and the order is <= 0."""
-    if math.isnan(degree):
-        raise DomainError("degree must be a number, got nan")
-    if not order <= 0:
-        raise DomainError(f"order must be <= 0, got {order}")
+    """Raise DomainError unless the degree is finite and the order is finite
+    and <= 0."""
+    if not math.isfinite(degree):
+        raise DomainError(f"degree must be finite, got {degree}")
+    if not -math.inf < order <= 0:
+        raise DomainError(f"order must be finite and <= 0, got {order}")
 
 
 def legendre_p_many(degree: float, order: float, x) -> np.ndarray:
@@ -197,6 +201,7 @@ def legendre_p_at_zero(degree: float, order: float) -> float:
 
     A pole of either Gamma factor makes the whole expression an exact zero.
     """
+    _check_parameters(degree, order)
     g1_arg = 0.5 * (degree - order) + 1.0
     g2_arg = 0.5 - 0.5 * (degree + order)
     if _is_nonpositive_integer(g1_arg) or _is_nonpositive_integer(g2_arg):

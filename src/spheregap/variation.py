@@ -263,12 +263,13 @@ def gap_variation_table(z_steps: int, b_steps: int, *, a=None, b=None) -> Variat
 
     Without a or b the directions are b_steps values of b spanning [0, 1]
     with a = sqrt(1 - b^2). Otherwise there is one direction,
-    (sqrt(1 - b^2), b), with b = sqrt(1 - a^2) when only a is given; a
-    given a must equal sqrt(1 - b^2) to within 1e-9. Each cell takes the
-    operations of gap_variation_grid, in the same order. Where several
-    cells share the minimal value, the first in z-major order is the
-    minimum. Raises ValueError for step counts below 1 or a direction off
-    the unit circle.
+    (sqrt(1 - b^2), b), with b = sqrt(1 - a^2) when only a is given; the
+    given (a, b), or a with its derived b, must pass
+    geometry.check_direction. Each cell takes the operations of
+    gap_variation_grid, in the same order. Where several cells share the
+    minimal value, the first in z-major order is the minimum. Raises
+    ValueError for step counts below 1 or a direction that check_direction
+    rejects.
     """
     if z_steps < 1 or b_steps < 1:
         raise ValueError("step counts must be >= 1")
@@ -277,11 +278,11 @@ def gap_variation_table(z_steps: int, b_steps: int, *, a=None, b=None) -> Variat
         bs = _linspace(1.0, b_steps)
         a_values = [math.sqrt(1.0 - bv * bv) for bv in bs]
     else:
+        # a**2 or b**2 can overflow far off [-1, 1], where check_direction fails
         if b is None:
-            b = math.sqrt(max(0.0, 1.0 - a**2))
-        derived = math.sqrt(max(0.0, 1.0 - b**2))
-        if a is not None and not abs(a - derived) <= 1e-9:
-            raise ValueError("direction must satisfy a = sqrt(1 - b^2)")
+            b = math.sqrt(1.0 - a**2) if abs(a) <= 1.0 else 0.0
+        derived = math.sqrt(1.0 - b**2) if abs(b) <= 1.0 else 0.0
+        check_direction(derived if a is None else a, b)
         a_values, bs = [derived], (float(b),)
     columns = [_form_totals(d) for d in zip(a_values, bs)]
     values = []

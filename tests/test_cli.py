@@ -205,11 +205,17 @@ def test_variation_single_evaluation(capsys):
 
 
 def test_variation_direction_errors(capsys):
+    # the rule of geometry.check_direction, as for solve and gap-slope
     for flags, message in (
-        (["--a", "1.5"], "a = sqrt(1 - b^2)"),
+        (["--a", "1.5"], "a^2 + b^2 = 1"),
         (["--b", "1.5"], "a^2 + b^2 = 1"),
-        (["--a", "0.6", "--b", "0.6"], "a = sqrt(1 - b^2)"),
-        (["--a", "nan"], "a = sqrt(1 - b^2)"),
+        (["--a", "0.6", "--b", "0.6"], "a^2 + b^2 = 1"),
+        (["--a", "0.6", "--b", "0.8000000001"], "a^2 + b^2 = 1"),
+        (["--a", "nan"], "a^2 + b^2 = 1"),
+        (["--b", "nan"], "a^2 + b^2 = 1"),
+        (["--a", "1e200"], "a^2 + b^2 = 1"),
+        (["--b=-1e200"], "nonnegative"),
+        (["--a=-0.6"], "nonnegative"),
     ):
         assert message in _usage_error(capsys, "variation", *flags, "--z-steps", "5")
 
@@ -305,8 +311,8 @@ def test_solve_near_the_largest_t(capsys):
 
 
 def test_solve_with_eigenvalues_above_1e4(capsys):
-    # lambda_4 = 24338: LOBPCG must stop at the absolute residual gate, which
-    # lies below 1e-9 |lambda| there
+    # lambda_4 = 24338: LOBPCG stops at the relative residual gate,
+    # 1e-9 |lambda|, as it does at every lambda
     code, out = _run(capsys, "solve", "--a", "0.8", "--b", "0.6", "--t", "1.8596",
                      "--grid-n", "16", "--modes", "4")
     assert code == 0

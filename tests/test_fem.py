@@ -335,7 +335,7 @@ _OFF_AXIS = DeformationParams(0.6, 0.8, 0.01)
 def test_residual_tolerance_enforced(monkeypatch):
     problem = assemble(_OFF_AXIS, 24)
     assert not problem.separable
-    monkeypatch.setattr(fem, "_RESIDUAL_TOL", 1e-300)
+    monkeypatch.setattr(fem, "_RESIDUAL_RTOL", 1e-300)
     with pytest.raises(ConvergenceError):
         solve_smallest(problem, 2)
 
@@ -360,7 +360,7 @@ def test_arpack_failure_reports_reached_residual(monkeypatch, partial):
     if partial:
         mv = problem.mass @ got_vecs[:, 0]
         expected = (np.linalg.norm(problem.stiffness @ got_vecs[:, 0] - got_vals[0] * mv)
-                    / np.linalg.norm(mv))
+                    / (abs(got_vals[0]) * np.linalg.norm(mv)))
         assert 0 < info.value.residual < math.inf
         assert info.value.residual == pytest.approx(expected, rel=1e-12)
     else:
@@ -715,10 +715,10 @@ def test_separable_path_skips_the_2d_factorization(monkeypatch):
 
 def test_separable_answers_pass_residual_gate(monkeypatch):
     problem = _separable_problem("axis-deformed", n=24)
-    monkeypatch.setattr(fem, "_RESIDUAL_TOL", 1e-300)
+    monkeypatch.setattr(fem, "_RESIDUAL_RTOL", 1e-300)
     with pytest.raises(ConvergenceError) as info:
         solve_smallest(problem, 4)
-    assert 0 < info.value.residual < 1e-9
+    assert 0 < info.value.residual < 1e-12
 
 
 def test_separable_solve_bitwise_across_processes():
@@ -756,7 +756,7 @@ def test_lobpcg_matches_dense_pencil(direction, t, n, m):
     assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-10
     gram = vecs.T @ (problem.mass @ vecs)
     assert np.max(np.abs(gram - np.eye(m))) < 1e-10
-    assert fem._worst_residual(problem, vals, vecs) <= 1e-6
+    assert fem._worst_residual(problem, vals, vecs) <= fem._RESIDUAL_RTOL
 
 
 @pytest.mark.parametrize("case", ["triangle-half", "lune-half", "triangle-quarter",
@@ -780,7 +780,9 @@ def test_all_modes_of_a_deformed_problem():
 
 
 # 0.9 to 0.99 of the largest t of each direction, where the round inverse
-# no longer preconditions K(t) and LOBPCG reaches its cap
+# no longer preconditions K(t) and LOBPCG reaches its cap; at t = 1.951,
+# with lambda_1 to lambda_4 at 2.0e4 to 5.2e4, it still converges within
+# 1e-9 |lambda|
 @pytest.mark.parametrize("direction, t", [
     ((0.0, 1.0), 1.414), ((0.0, 1.0), 1.55), ((0.6, 0.8), 1.767), ((0.6, 0.8), 1.94),
     ((math.cos(0.7), math.sin(0.7)), 1.951),
@@ -790,15 +792,15 @@ def test_extreme_deformation_matches_dense(monkeypatch, direction, t):
     ref_vals, _ = _dense_eigh(problem, 4)
     calls = _count_shift_invert(monkeypatch)
     vals, vecs = solve_smallest(problem, 4)
-    assert calls == [1]
+    assert calls == ([] if t == 1.951 else [1])
     assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-10
     assert np.max(np.abs(vecs.T @ (problem.mass @ vecs) - np.eye(4))) < 1e-10
 
 
-# pairs with eigenvalues above 1e4, where 1e-9 |lambda| exceeds the residual
-# gate and LOBPCG must stop at the gate itself. At (0.8, 0.6) LOBPCG
-# converges inside it; along the second direction its Rayleigh-Ritz step
-# breaks down (LinAlgError) and shift-invert answers
+# pairs with eigenvalues above 1e4, whose residuals the gate scales by
+# |lambda| as everywhere else. At (0.8, 0.6) LOBPCG converges inside it;
+# along the second direction its Rayleigh-Ritz step breaks down
+# (LinAlgError) and shift-invert answers
 @pytest.mark.parametrize("direction, t, n, m, shift_invert_calls", [
     ((0.8, 0.6), 1.8596, 16, 4, 0),
     ((0.6290583596761136, 0.7773580771572374), 1.927734128964636, 12, 7, 1),
@@ -812,6 +814,35 @@ def test_large_eigenvalues_meet_the_gate(monkeypatch, direction, t, n, m, shift_
     assert ref_vals[-1] > 1e4
     assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-10
     assert np.max(np.abs(vecs.T @ (problem.mass @ vecs) - np.eye(m))) < 1e-10
+
+
+def _near_largest_t(a, b):
+    """0.99 of the largest t of the direction (a, b)."""
+    return 0.99 * (PI / 2) / max(a, b)
+
+
+# solves with pairs of lambda = 1e5 to 1e8: 0.99 of the largest t along two
+# directions, where lambda_1 reaches 1.8e8 (n = 16) and shift-invert
+# answers, and 500 of the 506 pairs of an n = 24 grid on the dense pencil.
+# Their residuals ||K v - lambda M v|| / ||M v|| reach 1e-6 to 1e-3 while
+# they agree with LAPACK to rounding; only a bound scaled by |lambda|
+# accepts them
+_R2 = 1 / math.sqrt(2)
+_LARGE_LAMBDA_SOLVES = [((_R2, _R2), _near_largest_t(_R2, _R2), 16, m) for m in (1, 2, 3, 4, 6)]
+_LARGE_LAMBDA_SOLVES += [
+    ((math.cos(0.7), math.sin(0.7)), _near_largest_t(math.cos(0.7), math.sin(0.7)), 24, 6),
+    ((0.6, 0.8), 0.3, 24, 500),
+]
+
+
+@pytest.mark.parametrize("direction, t, n, m", _LARGE_LAMBDA_SOLVES)
+def test_huge_eigenvalues_pass_the_relative_gate(direction, t, n, m):
+    problem = assemble(DeformationParams(*direction, t), n)
+    vals, vecs = solve_smallest(problem, m)
+    ref_vals, _ = _dense_eigh(problem, m)
+    assert ref_vals[-1] > 1e5
+    assert np.max(np.abs(vals - ref_vals) / ref_vals) <= 1e-12
+    assert fem._worst_residual(problem, vals, vecs) <= fem._RESIDUAL_RTOL
 
 
 # the (0, 1) family is not separable, yet its gap has the exact form

@@ -205,14 +205,26 @@ def test_domain_errors():
 
 
 def test_nan_arguments_are_domain_errors():
-    nan = math.nan
+    # every non-finite argument, NaN or infinite
+    nan, inf = math.nan, math.inf
     for call in (lambda: legendre_p(2.0, -1.0, nan),
                  lambda: legendre_p(nan, -1.0, 0.3),
                  lambda: legendre_p(2.0, nan, 0.3),
+                 lambda: legendre_p(inf, -1.0, 0.3),
+                 lambda: legendre_p(-inf, -1.0, 0.3),
+                 lambda: legendre_p(3.0, -inf, 0.3),
                  lambda: legendre_p_many(2.0, -1.0, np.array([0.3, nan])),
                  lambda: legendre_p_many(nan, -1.0, np.array([0.3])),
                  lambda: legendre_p_dx(nan, -1.0),
-                 lambda: legendre_p_dx(2.0, nan)):
+                 lambda: legendre_p_dx(2.0, nan),
+                 lambda: legendre_p_dx(2.0, -inf),
+                 lambda: legendre_p_at_zero(nan, -1.0),
+                 lambda: legendre_p_at_zero(2.0, nan),
+                 lambda: legendre_p_at_zero(inf, -1.0),
+                 lambda: legendre_p_at_zero(2.0, -inf),
+                 lambda: gamma_fn(nan),
+                 lambda: gamma_fn(inf),
+                 lambda: gamma_fn(-inf)):
         with pytest.raises(DomainError):
             call()
 

@@ -274,8 +274,10 @@ def test_variation_table_one_direction():
         assert table.minimum.z == table.z[iz] and table.minimum.b == table.b[0]
         assert table.minimum.value == pytest.approx(
             gap_variation_I_closed(table.minimum.z, 0.8), abs=1e-12)
-    with pytest.raises(ValueError, match=r"a = sqrt\(1 - b\^2\)"):
-        gap_variation_table(5, 5, a=0.6, b=0.6)
+    # the 1e-12 rule of geometry.check_direction
+    for a, b in ((0.6, 0.6), (0.6, 0.8000000001)):
+        with pytest.raises(ValueError, match=r"a\^2 \+ b\^2 = 1"):
+            gap_variation_table(5, 5, a=a, b=b)
 
 
 def test_variation_lower_bound_everywhere():

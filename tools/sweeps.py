@@ -1,8 +1,10 @@
-"""FEM sweeps A and B near the largest deformation of each direction.
+"""FEM sweeps A and B near the largest deformation of each direction, and
+sweep C of near-full-spectrum requests.
 
 Run from a source checkout, which it imports from ./src:
 
-    python tools/sweeps.py > sweeps.txt     # 3 to 5 minutes
+    python tools/sweeps.py > sweeps.txt     # 4 to 6 minutes
+    python tools/sweeps.py C > sweep_c.txt  # the named sweeps only
 
 Every solve writes one line: the sweep, n, a, b, t and m, then either the m
 eigenvalues of `fem.solve_smallest` in float.hex or the error it raised. The
@@ -16,6 +18,11 @@ f in linspace(0.85, 0.98, 6); m = 1 .. 8 on one assembled problem.
 Sweep B (2250 solves): n in {16, 24, 32, 48, 64}; the directions (0, 1),
 (0.6, 0.8), (cos 0.7, sin 0.7), (0.8, 0.6), (1/sqrt 2, 1/sqrt 2) and
 (0.96, 0.28); f in linspace(0.5, 0.99, 15); m in {1, 2, 3, 4, 6}.
+
+Sweep C (54 solves): n in {16, 24, 32}; the directions (1, 0), (0, 1) and
+(0.6, 0.8); t in {0.05, 0.3}; m = round(f num_dof) for f in {0.6, 0.8, 1}.
+The largest eigenvalue reaches 2e3 to 3e4 at f = 0.6 and 0.8, and 4e6 to
+9e7 at f = 1.
 """
 import math
 import os
@@ -35,25 +42,41 @@ from spheregap.fem import assemble, solve_smallest  # noqa: E402
 from spheregap.geometry import DeformationParams  # noqa: E402
 
 
+def _near_largest_t(f, a, b):
+    return float(f) * (math.pi / 2) / max(a, b)
+
+
 def _sweep_a():
     for n in (12, 16, 20, 24, 32):
         for phi in np.linspace(0.05, math.pi / 2 - 0.05, 8):
+            a, b = math.cos(phi), math.sin(phi)
             for f in np.linspace(0.85, 0.98, 6):
-                yield n, (math.cos(phi), math.sin(phi)), float(f), range(1, 9)
+                yield n, (a, b), _near_largest_t(f, a, b), range(1, 9)
 
 
 def _sweep_b():
     directions = ((0.0, 1.0), (0.6, 0.8), (math.cos(0.7), math.sin(0.7)), (0.8, 0.6),
                   (1 / math.sqrt(2), 1 / math.sqrt(2)), (0.96, 0.28))
     for n in (16, 24, 32, 48, 64):
-        for direction in directions:
+        for a, b in directions:
             for f in np.linspace(0.5, 0.99, 15):
-                yield n, direction, float(f), (1, 2, 3, 4, 6)
+                yield n, (a, b), _near_largest_t(f, a, b), (1, 2, 3, 4, 6)
+
+
+def _sweep_c():
+    for n in (16, 24, 32):
+        # the unknowns of the triangle's grid: n - 1 radial rows, n - 2 theta
+        num_dof = (n - 1) * (n - 2)
+        for direction in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)):
+            for t in (0.05, 0.3):
+                yield n, direction, t, [round(f * num_dof) for f in (0.6, 0.8, 1.0)]
+
+
+SWEEPS = {"A": _sweep_a, "B": _sweep_b, "C": _sweep_c}
 
 
 def run(name, sweep, out):
-    for n, (a, b), f, modes in sweep():
-        t = f * (math.pi / 2) / max(a, b)
+    for n, (a, b), t, modes in sweep():
         problem = assemble(DeformationParams(a, b, t), n)
         for m in modes:
             head = f"{name} n={n} a={a.hex()} b={b.hex()} t={t.hex()} m={m}"
@@ -66,5 +89,5 @@ def run(name, sweep, out):
 
 
 if __name__ == "__main__":
-    run("A", _sweep_a, sys.stdout)
-    run("B", _sweep_b, sys.stdout)
+    for name in sys.argv[1:] or SWEEPS:
+        run(name, SWEEPS[name], sys.stdout)
