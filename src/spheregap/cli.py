@@ -4,7 +4,7 @@ Subcommands: spectrum, gap-curve, variation, verify-appendix, solve,
 gap-slope. Output is CSV (default) or JSON with identical numeric payloads;
 floats are printed with 17 significant digits so identical invocations give
 byte-identical output. Exit codes: 0 success, 1 usage error, 2 numerical
-failure, 3 verification failure.
+failure (running out of memory included), 3 verification failure.
 """
 import argparse
 import itertools
@@ -193,7 +193,7 @@ def _cmd_gap_slope(args) -> int:
 
     a, b = args.a, args.b
     try:
-        t_values = [float(x) for x in args.t_list.split(",") if x.strip()]
+        t_values = [float(x) for x in args.t_list.split(",")]
     except ValueError as exc:
         raise ValueError(f"cannot parse --t-list: {exc}") from None
     result = fem.gap_slope((a, b), t_values, args.grid_n)
@@ -289,6 +289,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except SphereGapError as exc:
         print(f"spheregap: numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a bare MemoryError says nothing
+        print(f"spheregap: numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"spheregap: error: {exc}", file=sys.stderr)

@@ -14,20 +14,15 @@ variable-coefficient problem on the rectangle; this module supplies the
 weak-form coefficient fields of the exact pullback metric that the
 finite-element assembly samples. The first-order (in t) correction
 operator L1 of the Laplacian is the table variation.L1_TERMS.
+
+Directions need math only, so the closed-form first variation loads no
+numpy through check_direction; the coefficient fields import numpy where
+they use it.
 """
 import math
 from dataclasses import dataclass
-from functools import cache
 
 _HALF_PI = math.pi / 2
-
-
-@cache
-def _numpy():
-    """numpy, imported on first use: directions need math only, so the
-    closed-form first variation loads no numpy through check_direction."""
-    import numpy
-    return numpy
 
 
 def check_direction(a: float, b: float) -> None:
@@ -70,7 +65,8 @@ def side_distance(alpha, theta):
     The denominator vanishes only at alpha = pi/2, theta = 0; the limit 0
     along theta -> 0 is returned there. Accepts scalars or arrays.
     """
-    np = _numpy()
+    import numpy as np
+
     sa, st, ct = np.sin(alpha), np.sin(theta), np.cos(theta)
     den_sq = 1.0 - sa**2 * ct**2
     tiny = den_sq < 1e-30
@@ -82,7 +78,8 @@ def side_distance(alpha, theta):
 
 def side_distance_dtheta(alpha, theta):
     """Analytic d/dtheta of side_distance: sin(a)cos(a)cos(th) / (1 - sin^2(a)cos^2(th))."""
-    np = _numpy()
+    import numpy as np
+
     sa, ca = np.sin(alpha), np.cos(alpha)
     ct = np.cos(theta)
     out = sa * ca * ct / (1.0 - sa**2 * ct**2)
@@ -103,7 +100,8 @@ def apex_offset(params: DeformationParams) -> float:
 
 def _deformation_fields(params: DeformationParams, theta):
     """(A, psi, l, L) at longitude theta, with L = d/dtheta [l(z, (1-A) theta)]."""
-    np = _numpy()
+    import numpy as np
+
     z = apex_offset(params)
     A = 2.0 * params.a * params.t / math.pi
     psi = (1.0 - A) * np.asarray(theta, dtype=float)
@@ -118,7 +116,8 @@ def metric_coefficients(params: DeformationParams, r, theta):
     Vectorized over r, theta; these are the only metric quantities the
     discrete eigensolver samples. Valid for r > 0.
     """
-    np = _numpy()
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     A, psi, l, L = _deformation_fields(params, theta)
     c1 = 1.0 - 2.0 * l / math.pi

@@ -11,13 +11,12 @@ Separation of variables gives eigenfunctions
 with degree l = k pi/beta + j for the lune and l = k pi/beta + 2j + 1 for
 the triangle, and eigenvalues l(l+1).
 
-Spectra and gaps need math only; the eigenfunction half imports numpy and
-the special functions on its first call.
+Spectra and gaps need math only; the functions of the eigenfunction half
+import numpy and the special functions where they use them.
 """
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import ConvergenceError, DomainError
 
@@ -160,16 +159,10 @@ def gap_regime(spec) -> str:
     return f"beta>{label}" if spec.beta > edge else f"beta<={label}"
 
 
-@cache
-def _numeric():
-    """numpy and the quadrature and special modules of the eigenfunction half."""
-    import numpy
-    from . import quadrature, special
-    return numpy, quadrature, special
-
-
 def _radial_values(spec, mode: ModeIndex, r):
-    np, _, special = _numeric()
+    import numpy as np
+    from . import special
+
     degree, order = spec.degree(mode), -(mode.k * math.pi / spec.beta)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     x = np.cos(r)
@@ -215,7 +208,8 @@ def normalization_constant(spec, mode: ModeIndex) -> float:
     checked against half as many. A norm that underflows to 0, as on thin
     lunes (beta = 0.03, mode (1, 0)), raises DomainError.
     """
-    np, quadrature, _ = _numeric()
+    import numpy as np
+    from . import quadrature
 
     def norm_sq(n):
         rq, rw = map(np.array, quadrature.gauss_legendre(0.0, spec.r_max, n))

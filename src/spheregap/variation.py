@@ -6,9 +6,12 @@ The three normalized eigenfunctions of the beta = pi/2 triangle are
     u2_1   = sqrt(1155/(8 pi)) (3cos^5(r) - 4cos^3(r) + cos(r)) sin(2 theta)
     u2_2   = sqrt(3465/(32 pi)) cos(r) sin^4(r) sin(4 theta)
 
-(eigenvalues 12, 30, 30). For a deformation direction (a, b) the derivative
-of an eigenvalue at t = 0 is -<L1 u, u> with the first-order operator L1
-of the deformed Laplacian, written once as the five-row table L1_TERMS
+(eigenvalues 12, 30, 30). _MODES holds each radial factor once, as a table
+{(p, q): coefficient} of cos^p(r) sin^q(r); its r-derivatives follow from
+the one rule d/dr (c^p s^q) = -p c^(p-1) s^(q+1) + q c^(p+1) s^(q-1).
+For a deformation direction (a, b) the derivative of an eigenvalue at
+t = 0 is -<L1 u, u> with the first-order operator L1 of the deformed
+Laplacian, written once as the five-row table L1_TERMS
 (terms I..V). Each pairing integral splits into five separated terms, each
 a product of a theta-integral and an r-integral over [0, pi/2]. Every
 pairing total is linear in (a, b) with the closed-form coefficients of
@@ -23,12 +26,15 @@ global minimum 16/pi over z in [0, 2 pi], b in [0, 1] (a = sqrt(1-b^2)),
 which equals d/dt [4 pi / (pi/2 - t) + 10] at t = 0, the exact gap slope of
 the one-sided deformations.
 
-The module needs math only: gap_variation_grid is I at one point, and
-gap_variation_table holds its grid as tuples and array('d') rows.
+The module needs math only. One routine computes I at one z over a list
+of directions: gap_variation_grid is it for one direction, and
+gap_variation_table calls it once per z and holds its grid as tuples and
+array('d') rows.
 """
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .geometry import check_direction
@@ -49,13 +55,37 @@ MIN_GAP_VARIATION = 16.0 / PI
 _NODES = 64
 
 
-class _Mode:
-    """Closed-form separated mode norm * R(r) * sin(freq * theta)."""
+def _d_dr(table: dict) -> dict:
+    """d/dr of a radial table, term by term by the rule of the module docstring."""
+    out = {}
+    for (p, q), k in table.items():
+        if p:
+            out[p - 1, q + 1] = out.get((p - 1, q + 1), 0) - p * k
+        if q:
+            out[p + 1, q - 1] = out.get((p + 1, q - 1), 0) + q * k
+    return out
 
-    def __init__(self, norm, radial, d_radial, d2_radial, angular_freq):
+
+class _Mode:
+    """Closed-form separated mode norm * R(r) * sin(freq * theta), with R a
+    table {(p, q): coefficient} of cos^p(r) sin^q(r); R' and R'' are
+    derived from it by _d_dr when the mode is built."""
+
+    def __init__(self, norm, table, angular_freq):
         self.norm = norm
-        self.radial = (radial, d_radial, d2_radial)  # R and its first two derivatives
+        self.tables = (table, _d_dr(table), _d_dr(_d_dr(table)))
         self.freq = angular_freq
+
+    @cached_property
+    def radial_at_nodes(self):
+        """(R, R', R'') at each node of pairing_terms' rule, each a math.fsum
+        over its table; computed on first use."""
+        values = []
+        for x in gauss_legendre(0.0, PI / 2, _NODES)[0]:
+            c, s = math.cos(x), math.sin(x)
+            values.append(tuple(math.fsum(k * c**p * s**q for (p, q), k in table.items())
+                                for table in self.tables))
+        return values
 
     def angular(self, theta, order):
         """The order-th derivative (0, 1 or 2) of sin(freq * theta)."""
@@ -67,51 +97,12 @@ class _Mode:
         return -f**2 * math.sin(f * theta)
 
 
-def _r1(r):
-    return math.sin(r) ** 2 * math.cos(r)
-
-
-def _dr1(r):
-    return 2.0 * math.sin(r) * math.cos(r) ** 2 - math.sin(r) ** 3
-
-
-def _d2r1(r):
-    return 2.0 * math.cos(r) ** 3 - 7.0 * math.sin(r) ** 2 * math.cos(r)
-
-
-def _r2(r):
-    c = math.cos(r)
-    return 3.0 * c**5 - 4.0 * c**3 + c
-
-
-def _dr2(r):
-    c, s = math.cos(r), math.sin(r)
-    return (-15.0 * c**4 + 12.0 * c**2 - 1.0) * s
-
-
-def _d2r2(r):
-    c, s = math.cos(r), math.sin(r)
-    return (60.0 * c**3 - 24.0 * c) * s**2 + (-15.0 * c**4 + 12.0 * c**2 - 1.0) * c
-
-
-def _r3(r):
-    return math.cos(r) * math.sin(r) ** 4
-
-
-def _dr3(r):
-    c, s = math.cos(r), math.sin(r)
-    return -(s**5) + 4.0 * s**3 * c**2
-
-
-def _d2r3(r):
-    c, s = math.cos(r), math.sin(r)
-    return -13.0 * s**4 * c + 12.0 * s**2 * c**3
-
-
+# the radial factors of the module docstring: sin^2 cos, 3cos^5 - 4cos^3 + cos
+# and cos sin^4
 _MODES = {
-    "u1": _Mode(math.sqrt(C1), _r1, _dr1, _d2r1, 2.0),
-    "u2_1": _Mode(math.sqrt(C2), _r2, _dr2, _d2r2, 2.0),
-    "u2_2": _Mode(math.sqrt(C3), _r3, _dr3, _d2r3, 4.0),
+    "u1": _Mode(math.sqrt(C1), {(1, 2): 1}, 2.0),
+    "u2_1": _Mode(math.sqrt(C2), {(5, 0): 3, (3, 0): -4, (1, 0): 1}, 2.0),
+    "u2_2": _Mode(math.sqrt(C3), {(1, 4): 1}, 4.0),
 }
 
 
@@ -176,20 +167,21 @@ def pairing_terms(spec: PairingSpec) -> BilinearTermTable:
 
     Each row of L1_TERMS gives one term, a product of a theta-integral and
     an r-integral (area element sin r), each a math.fsum over the same
-    _NODES-point Gauss-Legendre rule on [0, pi/2].
+    _NODES-point Gauss-Legendre rule on [0, pi/2], with the radial values of
+    the modes' radial_at_nodes.
     """
     direction = dict(zip("ab", spec.direction))
     left, right = _MODES[spec.left], _MODES[spec.right]
     nodes, weights = gauss_legendre(0.0, PI / 2, _NODES)
     nn = left.norm * right.norm
-    r_left = [w * left.radial[0](x) * math.sin(x) for x, w in zip(nodes, weights)]
+    r_left = [w * rad[0] * math.sin(x) for x, w, rad in zip(nodes, weights, left.radial_at_nodes)]
     theta_left = [w * left.angular(x, 0) for x, w in zip(nodes, weights)]
     terms = tuple(
         term.constant * direction[term.component] * nn
         * math.fsum(lw * term.angular(x) * right.angular(x, term.theta_order)
                     for x, lw in zip(nodes, theta_left))
-        * math.fsum(lw * term.radial(x) * right.radial[term.r_order](x)
-                    for x, lw in zip(nodes, r_left))
+        * math.fsum(lw * term.radial(x) * rad[term.r_order]
+                    for x, lw, rad in zip(nodes, r_left, right.radial_at_nodes))
         for term in L1_TERMS
     )
     return BilinearTermTable(terms, math.fsum(terms))
@@ -226,9 +218,16 @@ def gap_variation_grid(z: float, direction) -> float:
     z is the mixing angle of the second eigenfunction, u2 = cos(z) u2_1
     + sin(z) u2_2; (a, b) must pass geometry.check_direction.
     """
-    c1, c11, c12, c22 = _form_totals(direction)
+    return _gap_variation_row(z, [_form_totals(direction)])[0]
+
+
+def _gap_variation_row(z: float, columns) -> array:
+    """I at the mixing angle z for each (c1, c11, c12, c22) of columns, the
+    _form_totals of one direction each: c1 - (cos^2 z c11 + cos z sin z c12
+    + sin^2 z c22), as array('d')."""
     p, q = math.cos(z), math.sin(z)
-    return c1 - (p * p * c11 + p * q * c12 + q * q * c22)
+    pp, pq, qq = p * p, p * q, q * q
+    return array("d", [c1 - (pp * c11 + pq * c12 + qq * c22) for c1, c11, c12, c22 in columns])
 
 
 @dataclass(frozen=True)
@@ -265,8 +264,8 @@ def gap_variation_table(z_steps: int, b_steps: int, *, a=None, b=None) -> Variat
     with a = sqrt(1 - b^2). Otherwise there is one direction,
     (sqrt(1 - b^2), b), with b = sqrt(1 - a^2) when only a is given; the
     given (a, b), or a with its derived b, must pass
-    geometry.check_direction. Each cell takes the operations of
-    gap_variation_grid, in the same order. Where several cells share the
+    geometry.check_direction. Each row is _gap_variation_row at its z, as
+    gap_variation_grid is for one direction. Where several cells share the
     minimal value, the first in z-major order is the minimum. Raises
     ValueError for step counts below 1 or a direction that check_direction
     rejects.
@@ -285,12 +284,7 @@ def gap_variation_table(z_steps: int, b_steps: int, *, a=None, b=None) -> Variat
         check_direction(derived if a is None else a, b)
         a_values, bs = [derived], (float(b),)
     columns = [_form_totals(d) for d in zip(a_values, bs)]
-    values = []
-    for zv in zs:
-        p, q = math.cos(zv), math.sin(zv)
-        pp, pq, qq = p * p, p * q, q * q
-        values.append(array("d", [c1 - (pp * c11 + pq * c12 + qq * c22)
-                                  for c1, c11, c12, c22 in columns]))
+    values = [_gap_variation_row(zv, columns) for zv in zs]
     row_min = [min(row) for row in values]
     iz = row_min.index(min(row_min))
     ib = values[iz].index(row_min[iz])

@@ -128,6 +128,7 @@ def _numerical_failure(capsys, *argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("spheregap: numerical failure:") == 1
+    return captured.err
 
 
 def test_gap_curve_on_thin_lunes(capsys):
@@ -141,6 +142,20 @@ def test_gap_curve_on_thin_lunes(capsys):
     assert all(math.isfinite(row["gap"]) for row in rows)
     _numerical_failure(capsys, "gap-curve", "--domain", "lune", "--beta-min", "1e-320",
                        "--beta-max", "1e-3", "--steps", "1")
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB for an array", ""])
+def test_running_out_of_memory_is_a_numerical_failure(capsys, monkeypatch, message):
+    # a grid too large to allocate; the stand-in assemble allocates nothing
+    import spheregap.fem as fem
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(fem, "assemble", out_of_memory)
+    err = _numerical_failure(capsys, "solve", "--a", "1", "--b", "0", "--t", "0.05",
+                             "--grid-n", "100000000")
+    assert err == f"spheregap: numerical failure: {message or 'out of memory'}\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -324,6 +339,11 @@ def test_gap_slope_bad_t_list(capsys):
     code, _ = _run(capsys, "gap-slope", "--a", "0", "--b", "1",
                    "--t-list", "0.02,zap", "--grid-n", "24")
     assert code == 1
+    # an empty item, also one left by a trailing comma, is not dropped
+    for t_list in ("0.02,,0.01", "0.02,0.01,", ",0.02,0.01", "0.02, ,0.01"):
+        err = _usage_error(capsys, "gap-slope", "--a", "0", "--b", "1", "--t-list", t_list,
+                           "--grid-n", "24")
+        assert "--t-list" in err
     # one t allows no extrapolation, so there is no error_estimate to print
     err = _usage_error(capsys, "gap-slope", "--a", "0", "--b", "1", "--t-list", "0.01",
                        "--grid-n", "24", "--format", "json")

@@ -82,8 +82,9 @@ def test_terms_separability_against_2d_quadrature():
     W = np.outer(rw, tw)
 
     def field(mode, r_order, theta_order):
-        # the library's scalar mode functions at every point of the grid
-        radial = np.vectorize(mode.radial[r_order])(R)
+        # the library's mode values at every point of the grid, whose r are
+        # the nodes of radial_at_nodes
+        radial = np.array(mode.radial_at_nodes)[:, r_order, None]
         angular = np.vectorize(lambda t: mode.angular(t, theta_order))(T)
         return mode.norm * radial * angular
 
@@ -105,6 +106,18 @@ def test_terms_separability_against_2d_quadrature():
         for sep, full in zip(table_b.terms[:4], b_terms):
             assert abs(sep - full) < 1e-9
         assert abs(table_a.terms[4] - a_term) < 1e-9
+
+
+@pytest.mark.parametrize("name, eigenvalue", [("u1", 12.0), ("u2_1", 30.0), ("u2_2", 30.0)])
+def test_derived_radial_derivatives_solve_the_eigen_equation(name, eigenvalue):
+    # R, R' and R'' from the mode's table and the d/dr rule solve
+    # R'' + cot(r) R' + (lambda - f^2 / sin^2 r) R = 0 at the pairing nodes
+    mode = variation._MODES[name]
+    nodes = gauss_legendre(0.0, PI / 2, 64)[0]
+    for r, (value, slope, curvature) in zip(nodes, mode.radial_at_nodes):
+        terms = (curvature, math.cos(r) / math.sin(r) * slope,
+                 (eigenvalue - mode.freq**2 / math.sin(r) ** 2) * value)
+        assert abs(math.fsum(terms)) <= 1e-9 * max(map(abs, terms))
 
 
 def test_bilinear_table_validation():

@@ -8,7 +8,8 @@ operations of perfbench seeds 0 to 4, each run once per checkout as
 SPHEREGAP_THREADS=1 so that FEM digits do not depend on the core count.
 The command list comes from this checkout's README.md and
 perfbench/workloads.py. One line per command says `identical`, or gives
-the number of differing stdout lines and any change of exit code.
+the number of differing stdout lines and any change of exit code; the
+first differing line of OTHER_CHECKOUT and of this checkout follow it.
 
 Then each checkout's perfbench/eigen_driver.py runs the `eigenfunctions`
 job list of each of those seeds, also with one BLAS thread. One line per
@@ -89,12 +90,17 @@ def main(argv) -> int:
     differing = 0
     for args in commands:
         (code, lines), (other_code, other_lines) = _run(ROOT, args), _run(other, args)
-        changed = sum(a != b for a, b in itertools.zip_longest(lines, other_lines))
-        verdict = "identical" if changed == 0 else f"{changed} of {len(lines)} lines differ"
+        diffs = [(i, a, b) for i, (a, b) in
+                 enumerate(itertools.zip_longest(other_lines, lines), 1) if a != b]
+        verdict = "identical" if not diffs else f"{len(diffs)} of {len(lines)} lines differ"
         if code != other_code:
             verdict += f", exit code {other_code} -> {code}"
         differing += verdict != "identical"
         print(f"{verdict}: spheregap {shlex.join(args)}", flush=True)
+        if diffs:
+            line, theirs, mine = diffs[0]
+            # zip_longest pads the shorter side with None
+            print(f"  line {line} other: {theirs}\n  line {line} here:  {mine}", flush=True)
     print(f"{len(commands)} commands, {differing} differ")
     differing_seeds = _compare_eigenfunctions(other)
     print(f"{len(SEEDS)} eigenfunctions seeds, {differing_seeds} differ")
