@@ -11,8 +11,10 @@ a 3x3 Gauss rule per cell; Dirichlet nodes are eliminated on the edges
 theta = 0, theta = beta and (for triangles) r = r_max, while pole edges keep
 their nodes: the measure sqrt(det g) vanishes there, which makes the
 discrete problem well posed without a boundary condition. The retained
-nodes form an (n_r, n - 2) rectangle, so K and M are stored as 9-point
-stencils on it (StencilMatrix).
+nodes form an (n_r, n - 2) rectangle, so K and M are 9-point stencils on
+it (StencilMatrix). Both are exactly symmetric, so each stores only its
+centre and its four forward offsets; a backward offset is read from its
+forward plane.
 
 A problem is separable when its fields depend on r only: at t = 0 (triangle
 or lune, any beta) and along the direction (1, 0), where b = 0 makes the
@@ -77,13 +79,23 @@ _CLUSTER_GAP = 0.1
 _SLAB_ROWS = 16
 
 
+# the stored offsets (dr, dt) of a stencil: the centre and the four forward
+# ones, whose flat shifts dr * n_theta + dt are positive. The coupling of a
+# node to its neighbour at (-dr, -dt) is, by symmetry, the coupling of that
+# neighbour to the node at (dr, dt), so a backward plane is a forward plane
+# read at shifted positions
+_OFFSETS = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
 class StencilMatrix:
     """Symmetric 9-point operator on the retained (n_r, n_theta) node rectangle.
 
-    coef[1 + dr, 1 + dt, i, j] is the entry in the row of node (i, j) and the
-    column of node (i + dr, j + dt), with node (i, j) numbered
+    Only the centre and the four forward offsets are stored: coef[o, i, j],
+    with (dr, dt) = _OFFSETS[o], is the entry in the row of node (i, j) and
+    the column of node (i + dr, j + dt), with node (i, j) numbered
     i * n_theta + j; entries that would reach outside the rectangle are zero.
-    `A @ x` takes a vector or a block of columns.
+    The entry of a backward offset (-dr, -dt) in row (i, j) is, by symmetry,
+    coef[o, i - dr, j - dt]. `A @ x` takes a vector or a block of columns.
     """
 
     def __init__(self, coef: np.ndarray):
@@ -91,31 +103,37 @@ class StencilMatrix:
 
     @property
     def shape(self) -> tuple:
-        size = self.coef.shape[2] * self.coef.shape[3]
+        size = self.coef.shape[1] * self.coef.shape[2]
         return (size, size)
 
     @property
     def nnz(self) -> int:
-        return int(np.count_nonzero(self.coef))
+        """Nonzero entries of the full matrix, both triangles."""
+        return int(np.count_nonzero(self.coef[0]) + 2 * np.count_nonzero(self.coef[1:]))
 
     def diagonal(self) -> np.ndarray:
-        return self.coef[1, 1].ravel()
+        return self.coef[0].ravel()
 
     @cached_property
     def _shifts(self):
-        """(flat shift, coefficients, output slice) of each off-centre offset.
+        """(flat shift, coefficients, output slice) of each off-centre offset,
+        backward and forward, in the order dr = -1, 0, 1 and dt = -1, 0, 1.
 
         In the flat numbering offset (dr, dt) is the shift dr * n_theta + dt;
-        where it wraps across a radial row its coefficient is zero."""
-        n_t = self.coef.shape[3]
-        flat = self.coef.reshape(3, 3, -1)
-        size = flat.shape[2]
+        where it wraps across a radial row its coefficient is zero. Row p of
+        shift s reads column p + s; the coefficients are those of the rows
+        of the output slice, which for a backward shift -s are the forward
+        plane's first size - s entries, as for the forward shift s."""
+        n_t = self.coef.shape[2]
+        flat = self.coef.reshape(len(_OFFSETS), -1)
+        size = flat.shape[1]
+        forward = {dr * n_t + dt: flat[o] for o, (dr, dt) in enumerate(_OFFSETS) if o}
         shifts = []
         for dr in (-1, 0, 1):
             for dt in (-1, 0, 1):
                 shift = dr * n_t + dt
                 if shift:
-                    shifts.append((shift, flat[1 + dr, 1 + dt],
+                    shifts.append((shift, forward[abs(shift)][:size - abs(shift)],
                                    slice(max(0, -shift), size - max(0, shift))))
         return shifts
 
@@ -123,14 +141,14 @@ class StencilMatrix:
         """A applied to every row of a (k, n) block, one row at a time so
         that a row, its image and a product stay in cache; the image goes to
         `out` when given, which must not overlap x."""
-        centre = self.coef[1, 1].ravel()
+        centre = self.diagonal()
         y = np.empty_like(x) if out is None else out
         tmp = np.empty(x.shape[1])
         for xi, yi in zip(x, y):
             np.multiply(centre, xi, out=yi)
             for shift, c, span in self._shifts:
                 prod = tmp[span]
-                np.multiply(c[span], xi[span.start + shift:span.stop + shift], out=prod)
+                np.multiply(c, xi[span.start + shift:span.stop + shift], out=prod)
                 yi[span] += prod
         return y
 
@@ -143,17 +161,17 @@ class StencilMatrix:
         """The matrix in scipy.sparse CSC form, without stored zeros."""
         import scipy.sparse as sp
 
-        diagonals = [self.diagonal()] + [c[rows] for _, c, rows in self._shifts]
+        diagonals = [self.diagonal()] + [c for _, c, _ in self._shifts]
         offsets = [0] + [shift for shift, _, _ in self._shifts]
         out = sp.diags(diagonals, offsets, shape=self.shape, format="csc")
         out.eliminate_zeros()
         return out
 
     def toarray(self) -> np.ndarray:
-        out = np.diag(self.coef[1, 1].ravel())
+        out = np.diag(self.diagonal())
         for shift, c, rows in self._shifts:
             ids = np.arange(rows.start, rows.stop)
-            out[ids, ids + shift] = c[rows]
+            out[ids, ids + shift] = c
         return out
 
 
@@ -194,8 +212,8 @@ class _SeparableFactors:
         self.mass_r = mass_r                # M_r[m]
         self.h_theta = h_theta
         self.n_theta = n_theta
-        # eigenpairs of the radial pencils, one entry per theta mode so far
-        self._radial_pairs = []
+        # theta mode k -> (eigenvalues, leading eigenvectors) of its radial pencil
+        self._radial = {}
 
     @cached_property
     def _theta_modes(self):
@@ -209,13 +227,14 @@ class _SeparableFactors:
         j = np.arange(1, n_t + 1)
         return mu, np.sin(np.outer(j, phase)) / s_norm
 
-    def _mode(self, k: int):
-        """All eigenpairs of the radial pencil of theta mode k (1-based)."""
-        pairs = self._radial_pairs
-        while len(pairs) < k:
-            mu_k = self._theta_modes[0][len(pairs)]
-            pairs.append(_pencil_eigh(self.stiffness_r + mu_k * self.weight_r, self.mass_r))
-        return pairs[k - 1]
+    def _solve_mode(self, k: int, count: int):
+        """Solve the radial pencil of theta mode k (1-based) and keep all its
+        eigenvalues but only its count leading eigenvectors, the ones that
+        _smallest(count) can pick; returns (eigenvalues, eigenvectors)."""
+        mu_k = self._theta_modes[0][k - 1]
+        lams, vecs = _pencil_eigh(self.stiffness_r + mu_k * self.weight_r, self.mass_r)
+        self._radial[k] = lams, vecs[:, :count].copy()
+        return self._radial[k]
 
     def _smallest(self, count: int):
         """(eigenvalue, theta mode, radial column) of the count smallest
@@ -227,7 +246,7 @@ class _SeparableFactors:
         """
         picked = []
         for k in range(1, self.n_theta + 1):
-            lams = self._mode(k)[0]
+            lams = (self._radial.get(k) or self._solve_mode(k, count))[0]
             if len(picked) == count and lams[0] >= picked[-1][0]:
                 break
             # sorted() is stable, so earlier modes win ties
@@ -244,9 +263,12 @@ class _SeparableFactors:
         size = len(self.mass_r) * self.n_theta
         vecs = np.empty((size, len(picked))) if out is None else out.T
         for vec, (_, k, c) in zip(vecs.T, picked):
+            radial = self._radial[k][1]
+            if radial.shape[1] <= c:
+                # kept for a smaller count: the same solve gives the same bits
+                radial = self._solve_mode(k, count)[1]
             # the Kronecker product of the radial and the sine vector
-            np.multiply.outer(self._mode(k)[1][:, c], sines[:, k - 1],
-                              out=vec.reshape(-1, self.n_theta))
+            np.multiply.outer(radial[:, c], sines[:, k - 1], out=vec.reshape(-1, self.n_theta))
         return np.array([lam for lam, _, _ in picked]), vecs
 
     def guard_block(self, m: int) -> int:
@@ -389,24 +411,29 @@ def _separable_factors(params: DeformationParams, spec, n: int) -> _SeparableFac
 
 
 def _stencil(loc, n, n_r) -> StencilMatrix:
-    """Sum the (cells, 4, 4) element blocks of an n x n node grid into a
-    9-point stencil on the retained rows 0 .. n_r - 1 and columns
-    1 .. n - 2. Local node a of cell (ci, cj) is grid node
+    """Sum the (cells, 4, 4) element blocks of an n x n node grid into the
+    stored planes of a 9-point stencil on the retained rows 0 .. n_r - 1
+    and columns 1 .. n - 2. Local node a of cell (ci, cj) is grid node
     (ci + a % 2, cj + a // 2); only the blocks of cells whose node a is
-    retained are added, in the same (a, b) order as on the full grid."""
+    retained and whose offset to node b is stored are added, in the same
+    (a, b) order as on the full grid."""
     nc = n - 1
     loc = loc.reshape(nc, nc, 4, 4)
-    coef = np.zeros((3, 3, n_r, n - 2))
+    coef = np.zeros((len(_OFFSETS), n_r, n - 2))
+    plane = dict(zip(_OFFSETS, coef))
     for a in range(4):
         ra, ta = a % 2, a // 2
         rows = min(nc, n_r - ra)
         for b in range(4):
-            coef[1 + b % 2 - ra, 1 + b // 2 - ta, ra:ra + rows] += loc[:rows, 1 - ta:nc - ta, a, b]
+            target = plane.get((b % 2 - ra, b // 2 - ta))
+            if target is not None:
+                target[ra:ra + rows] += loc[:rows, 1 - ta:nc - ta, a, b]
     # couplings to the Dirichlet nodes
-    coef[:, 0, :, 0] = 0.0
-    coef[:, 2, :, -1] = 0.0
+    plane[1, -1][:, 0] = 0.0
+    plane[0, 1][:, -1] = plane[1, 1][:, -1] = 0.0
     if n_r < n:
-        coef[2, :, -1, :] = 0.0
+        for dt in (-1, 0, 1):
+            plane[1, dt][-1] = 0.0
     return StencilMatrix(coef)
 
 
@@ -475,11 +502,20 @@ def assemble(domain, grid_n: int) -> DiscreteEigenproblem:
 def _relative_residuals(vals, kx, mx, out=None) -> np.ndarray:
     """||K x - lambda M x|| / (|lambda| ||M x||) of each pair of a block,
     from the K- and M-images of its vectors as rows; the rows
-    K x - lambda M x go to out when it is given."""
-    scale = np.abs(vals) * np.linalg.norm(mx, axis=1)
-    r = np.multiply(vals[:, None], mx, out=out)
-    np.subtract(kx, r, out=r)
-    return np.linalg.norm(r, axis=1) / scale
+    K x - lambda M x go to out when it is given. The norms are taken one
+    row at a time in one n-length buffer, each by the pairwise sum that a
+    norm along axis 1 of the whole block takes."""
+    squares = np.empty(kx.shape[1])
+
+    def norm(row):
+        return math.sqrt(np.add.reduce(np.multiply(row, row, out=squares)))
+
+    result = np.empty(len(vals))
+    for i, (lam, kr, mr) in enumerate(zip(vals, kx, mx)):
+        scale = abs(lam) * norm(mr)
+        r = np.multiply(lam, mr, out=squares if out is None else out[i])
+        result[i] = norm(np.subtract(kr, r, out=r)) / scale
+    return result
 
 
 def _worst_residual(problem: DiscreteEigenproblem, vals, vecs) -> float:
@@ -517,16 +553,16 @@ def _lobpcg(problem: DiscreteEigenproblem, k: int, m: int):
     The basis [x | w | p] and its K- and M-images live in one set of
     preallocated (3k, n) buffers: rows [0, k) hold x, the search directions
     w of the active pairs follow it and the active rows of p follow w. The
-    Rayleigh-Ritz step writes the new x and p to two (k, n) scratch blocks
-    and copies them to rows [0, k) and [2k, 3k), one buffer at a time; the
-    scratch blocks also hold the active residuals and the projections that
-    keep w M-orthogonal to x.
+    Rayleigh-Ritz step, one buffer at a time, writes the new x to a (k, n)
+    scratch block and the new p over the old x, then copies both home to
+    rows [0, k) and [2k, 3k); the scratch block also holds the active
+    residuals and the projections that keep w M-orthogonal to x.
     """
     stiff, mass = problem.stiffness.apply_rows, problem.mass.apply_rows
     n = problem.num_dof
     # the basis, its K-image and its M-image
     basis = [np.empty((3 * k, n)) for _ in range(3)]
-    scratch = np.empty((2, k, n))
+    scratch = np.empty((k, n))
     problem.factors.eigenpairs(k, out=basis[0][:k])
     stiff(basis[0][:k], out=basis[1][:k])
     mass(basis[0][:k], out=basis[2][:k])
@@ -540,11 +576,11 @@ def _lobpcg(problem: DiscreteEigenproblem, k: int, m: int):
         # the new Ritz vectors, and their part outside the old ones
         has_p = used > k
         for block in basis:
-            np.matmul(coef.T, block[:used], out=scratch[0])
+            np.matmul(coef.T, block[:used], out=scratch)
             if has_p:
-                np.matmul(coef[k:].T, block[k:used], out=scratch[1])
-                block[2 * k:] = scratch[1]
-            block[:k] = scratch[0]
+                np.matmul(coef[k:].T, block[k:used], out=block[:k])
+                block[2 * k:] = block[:k]
+            block[:k] = scratch
         x, ax, bx = (block[:k] for block in basis)
         # the residuals, in rows that w overwrites once they are used
         r = basis[0][k:2 * k]
@@ -555,16 +591,16 @@ def _lobpcg(problem: DiscreteEigenproblem, k: int, m: int):
             return None
         na = np.count_nonzero(active)
         w = basis[0][k:k + na]
-        problem.factors.solve(np.compress(active, r, axis=0, out=scratch[0][:na]), out=w)
+        problem.factors.solve(np.compress(active, r, axis=0, out=scratch[:na]), out=w)
         # M-orthogonal to the current Ritz vectors
-        w -= np.matmul(w @ bx.T, x, out=scratch[1][:na])
+        w -= np.matmul(w @ bx.T, x, out=scratch[:na])
         stiff(w, out=basis[1][k:k + na])
         mass(w, out=basis[2][k:k + na])
         used = k + na
         if has_p:
             for block in basis:
                 block[used:used + na] = np.compress(active, block[2 * k:], axis=0,
-                                                    out=scratch[0][:na])
+                                                    out=scratch[:na])
             used += na
 
 

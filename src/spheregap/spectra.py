@@ -14,6 +14,7 @@ the triangle, and eigenvalues l(l+1).
 Spectra and gaps need math only; the functions of the eigenfunction half
 import numpy and the special functions where they use them.
 """
+import heapq
 import math
 import numbers
 from dataclasses import dataclass
@@ -114,18 +115,34 @@ def spectrum(spec, count: int) -> list:
     j < count, and the returned mode lists are complete. Modes whose values
     differ by at most COALESCE_ULPS ulps are reported as one entry; below
     beta of about 1e-14 neighbouring lune levels come that close and merge.
+
+    The modes of that box are visited in ascending (eigenvalue, k, j) order
+    by a heap merge: (k, j) enters the heap when (k, j - 1) leaves it, or
+    (k - 1, 0) when j = 0, both with smaller eigenvalues. Visiting M modes
+    evaluates at most 2M + 1 eigenvalues, not count^2.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+
+    def candidate(k, j):
+        # (k, j) decides between equal eigenvalues, so mode is never compared
+        mode = ModeIndex(k, j)
+        return eigenvalue(spec, mode), k, j, mode
+
+    heap = [candidate(1, 0)]
     entries = []
-    for lam, k, j in sorted((eigenvalue(spec, ModeIndex(k, j)), k, j)
-                            for k in range(1, count + 1) for j in range(count)):
+    while heap:
+        lam, k, j, mode = heapq.heappop(heap)
         if entries and lam - entries[-1][0] <= COALESCE_ULPS * math.ulp(lam):
-            entries[-1][1].append(ModeIndex(k, j))
+            entries[-1][1].append(mode)
         elif len(entries) == count:
             break
         else:
-            entries.append((lam, [ModeIndex(k, j)]))
+            entries.append((lam, [mode]))
+        if j + 1 < count:
+            heapq.heappush(heap, candidate(k, j + 1))
+        if j == 0 and k < count:
+            heapq.heappush(heap, candidate(k + 1, 0))
     return [
         SpectrumEntry(lam, tuple(sorted(modes, key=lambda m: (m.k, m.j))))
         for lam, modes in entries

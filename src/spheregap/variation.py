@@ -3,7 +3,7 @@
 The three normalized eigenfunctions of the beta = pi/2 triangle are
 
     u1     = sqrt(105/(2 pi))  sin^2(r) cos(r) sin(2 theta)
-    u2_1   = sqrt(1155/(8 pi)) (3cos^5(r) - 4cos^3(r) + cos(r)) sin(2 theta)
+    u2_1   = sqrt(1155/(8 pi)) cos(r) sin^2(r) (1 - 3cos^2(r)) sin(2 theta)
     u2_2   = sqrt(3465/(32 pi)) cos(r) sin^4(r) sin(4 theta)
 
 (eigenvalues 12, 30, 30). _MODES holds each radial factor once, as a table
@@ -97,11 +97,12 @@ class _Mode:
         return -f**2 * math.sin(f * theta)
 
 
-# the radial factors of the module docstring: sin^2 cos, 3cos^5 - 4cos^3 + cos
-# and cos sin^4
+# the radial factors of the module docstring: sin^2 cos, cos sin^2 - 3cos^3 sin^2
+# and cos sin^4. The second is 3cos^5 - 4cos^3 + cos, written with the factor
+# sin^2 that makes it small at the pole, where the cos powers cancel
 _MODES = {
     "u1": _Mode(math.sqrt(C1), {(1, 2): 1}, 2.0),
-    "u2_1": _Mode(math.sqrt(C2), {(5, 0): 3, (3, 0): -4, (1, 0): 1}, 2.0),
+    "u2_1": _Mode(math.sqrt(C2), {(3, 2): -3, (1, 2): 1}, 2.0),
     "u2_2": _Mode(math.sqrt(C3), {(1, 4): 1}, 4.0),
 }
 

@@ -7,9 +7,11 @@ import mpmath
 import numpy as np
 import pytest
 
+import spheregap.spectra as spectra
 from spheregap.errors import ConvergenceError, DomainError
 from spheregap.quadrature import gauss_legendre
 from spheregap.spectra import (
+    COALESCE_ULPS,
     LuneSpec,
     ModeIndex,
     TriangleSpec,
@@ -116,6 +118,41 @@ def test_spectrum_keeps_thin_levels_apart(spec_type, beta):
     spec = spec_type(beta)
     got = _as_tuples(spectrum(spec, 3))
     assert got == [(eigenvalue(spec, ModeIndex(1, j)), [(1, j)]) for j in range(3)]
+
+
+def _sorted_box_spectrum(spec, count):
+    """spectrum by one sort of all count^2 modes k <= count, j < count,
+    coalesced as spectrum does."""
+    entries = []
+    for lam, k, j in sorted((eigenvalue(spec, ModeIndex(k, j)), k, j)
+                            for k in range(1, count + 1) for j in range(count)):
+        if entries and lam - entries[-1][0] <= COALESCE_ULPS * math.ulp(lam):
+            entries[-1][1].append((k, j))
+        elif len(entries) == count:
+            break
+        else:
+            entries.append((lam, [(k, j)]))
+    return [(lam, sorted(modes)) for lam, modes in entries]
+
+
+@pytest.mark.parametrize("spec_type", [LuneSpec, TriangleSpec])
+@pytest.mark.parametrize("beta", [PI / 2, PI / 3, 1.0, 0.3, 1.5 * PI, 1e-9])
+def test_spectrum_equals_the_sorted_box(spec_type, beta):
+    spec = spec_type(beta)
+    for count in range(1, 41):
+        assert _as_tuples(spectrum(spec, count)) == _sorted_box_spectrum(spec, count)
+
+
+@pytest.mark.parametrize("spec", [LuneSpec(0.3), TriangleSpec(1.0)])
+def test_spectrum_evaluates_two_eigenvalues_per_mode(monkeypatch, spec):
+    # each visited mode adds at most two to the heap; sorting the whole
+    # box took count^2 = 4e6 evaluations here
+    calls = []
+    monkeypatch.setattr(spectra, "eigenvalue",
+                        lambda spec, mode: calls.append(1) or eigenvalue(spec, mode))
+    entries = spectrum(spec, 2000)
+    assert len(entries) == 2000
+    assert len(calls) <= 2 * sum(len(entry.modes) for entry in entries) + 3
 
 
 def test_spectrum_count_validation():

@@ -8,7 +8,13 @@ import pytest
 
 import spheregap.variation as variation
 from spheregap.quadrature import gauss_legendre
-from spheregap.spectra import TriangleSpec, gap
+from spheregap.spectra import (
+    ModeIndex,
+    TriangleSpec,
+    eigenfunction_eval,
+    gap,
+    normalization_constant,
+)
 from spheregap.variation import (
     C1,
     C2,
@@ -118,6 +124,23 @@ def test_derived_radial_derivatives_solve_the_eigen_equation(name, eigenvalue):
         terms = (curvature, math.cos(r) / math.sin(r) * slope,
                  (eigenvalue - mode.freq**2 / math.sin(r) ** 2) * value)
         assert abs(math.fsum(terms)) <= 1e-9 * max(map(abs, terms))
+
+
+@pytest.mark.parametrize("name, mode", [("u1", ModeIndex(1, 0)), ("u2_1", ModeIndex(1, 1)),
+                                        ("u2_2", ModeIndex(2, 0))])
+def test_mode_tables_are_the_normalized_eigenfunctions(name, mode):
+    # away from the pole, where eigenfunction_eval loses the digits of
+    # 1 - cos r (8.9e-5 relative at r = 1e-6)
+    spec = TriangleSpec(PI / 2)
+    table_mode = variation._MODES[name]
+    scale = normalization_constant(spec, mode)
+    for r in (0.3, 0.9, 1.4):
+        radial = math.fsum(k * math.cos(r) ** p * math.sin(r) ** q
+                           for (p, q), k in table_mode.tables[0].items())
+        for theta in (0.2, 0.7, 1.1):
+            ref = scale * eigenfunction_eval(spec, mode, r, theta)
+            got = table_mode.norm * radial * table_mode.angular(theta, 0)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_bilinear_table_validation():

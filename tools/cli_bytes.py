@@ -1,4 +1,5 @@
-"""Compare the stdout of `spheregap` commands between this checkout and another.
+"""Compare the stdout and peak memory of `spheregap` commands between this
+checkout and another.
 
     python tools/cli_bytes.py OTHER_CHECKOUT
 
@@ -8,8 +9,13 @@ operations of perfbench seeds 0 to 4, each run once per checkout as
 SPHEREGAP_THREADS=1 so that FEM digits do not depend on the core count.
 The command list comes from this checkout's README.md and
 perfbench/workloads.py. One line per command says `identical`, or gives
-the number of differing stdout lines and any change of exit code; the
-first differing line of OTHER_CHECKOUT and of this checkout follow it.
+the number of differing stdout lines and any change of exit code, and
+then the command's peak resident set in OTHER_CHECKOUT and in this one;
+the first differing line of OTHER_CHECKOUT and of this checkout follow it.
+The command with the largest peak of each checkout closes the list. A
+command reads its own peak (VmHWM, so Linux only) as it exits: the
+RUSAGE_CHILDREN peak of its launcher would count the launcher's own
+resident set, which a child started by vfork is charged with.
 
 Then each checkout's perfbench/eigen_driver.py runs the `eigenfunctions`
 job list of each of those seeds, also with one BLAS thread. One line per
@@ -29,6 +35,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = range(5)
+# `python -m spheregap.cli ARGS`, preceded by the path of a file that gets
+# the process's peak resident set in kB (VmHWM) at exit
+_LAUNCHER = """\
+import atexit, runpy, sys
+peak_path = sys.argv.pop(1)
+
+def write_peak():
+    with open("/proc/self/status") as status:
+        kb = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+    with open(peak_path, "w") as out:
+        out.write(kb)
+
+atexit.register(write_peak)
+runpy.run_module("spheregap.cli", run_name="__main__", alter_sys=True)
+"""
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
@@ -49,9 +70,12 @@ def _env(checkout: Path):
 
 
 def _run(checkout: Path, args):
-    out = subprocess.run([sys.executable, "-m", "spheregap.cli", *args], cwd=checkout,
-                         env=_env(checkout), capture_output=True, text=True)
-    return out.returncode, out.stdout.splitlines()
+    """(exit code, stdout lines, peak resident set in MB) of one command."""
+    with tempfile.TemporaryDirectory() as tmp:
+        peak_path = Path(tmp) / "peak_kb"
+        out = subprocess.run([sys.executable, "-c", _LAUNCHER, str(peak_path), *args],
+                             cwd=checkout, env=_env(checkout), capture_output=True, text=True)
+        return out.returncode, out.stdout.splitlines(), int(peak_path.read_text()) / 1024.0
 
 
 def _eigen_results(checkout: Path, jobs_path: Path):
@@ -88,20 +112,28 @@ def main(argv) -> int:
     other = Path(argv[0]).resolve()
     commands = list(dict.fromkeys(_readme_commands() + _workload_commands()))
     differing = 0
+    peaks = {"other": [], "here": []}
     for args in commands:
-        (code, lines), (other_code, other_lines) = _run(ROOT, args), _run(other, args)
+        (code, lines, peak), (other_code, other_lines, other_peak) = (_run(ROOT, args),
+                                                                      _run(other, args))
+        peaks["here"].append((peak, args))
+        peaks["other"].append((other_peak, args))
         diffs = [(i, a, b) for i, (a, b) in
                  enumerate(itertools.zip_longest(other_lines, lines), 1) if a != b]
         verdict = "identical" if not diffs else f"{len(diffs)} of {len(lines)} lines differ"
         if code != other_code:
             verdict += f", exit code {other_code} -> {code}"
         differing += verdict != "identical"
-        print(f"{verdict}: spheregap {shlex.join(args)}", flush=True)
+        print(f"{verdict}: spheregap {shlex.join(args)}  [peak {other_peak:.1f} -> {peak:.1f} MB]",
+              flush=True)
         if diffs:
             line, theirs, mine = diffs[0]
             # zip_longest pads the shorter side with None
             print(f"  line {line} other: {theirs}\n  line {line} here:  {mine}", flush=True)
     print(f"{len(commands)} commands, {differing} differ")
+    for side, side_peaks in peaks.items():
+        peak, args = max(side_peaks)
+        print(f"largest peak {side}: {peak:.1f} MB, spheregap {shlex.join(args)}")
     differing_seeds = _compare_eigenfunctions(other)
     print(f"{len(SEEDS)} eigenfunctions seeds, {differing_seeds} differ")
     return 1 if differing or differing_seeds else 0
