@@ -48,8 +48,8 @@ _LAZY = {
         ("spectra", ("LuneSpec", "ModeIndex", "SpectrumEntry", "TriangleSpec",
                      "eigenfunction_eval", "eigenvalue", "gap", "normalization_constant",
                      "spectrum")),
-        ("variation", ("BilinearTermTable", "PairingSpec", "gap_variation_table",
-                       "lambda1_dot", "pairing_terms", "verify_appendix")),
+        ("variation", ("BilinearTermTable", "gap_variation_table", "lambda1_dot",
+                       "pairing_terms", "verify_appendix")),
         ("fem", ("DiscreteEigenproblem", "GapSlopeResult", "assemble", "gap_slope",
                  "numeric_gap", "solve_smallest")),
         ("quadrature", ()),

@@ -131,7 +131,8 @@ def _cmd_gap_curve(args) -> int:
         raise ValueError("--steps must be >= 1")
     rows = []
     for i in range(args.steps + 1):
-        beta = beta_min + (beta_max - beta_min) * i / args.steps
+        # the formula can round past beta_max at i = steps
+        beta = beta_min + (beta_max - beta_min) * i / args.steps if i < args.steps else beta_max
         spec = _DOMAINS[args.domain](beta)
         rows.append((beta, spectra.gap(spec), spectra.gap_regime(spec)))
     _emit(args, "gap-curve",

@@ -13,18 +13,19 @@ For a deformation direction (a, b) the derivative of an eigenvalue at
 t = 0 is -<L1 u, u> with the first-order operator L1 of the deformed
 Laplacian, written once as the five-row table L1_TERMS
 (terms I..V). Each pairing integral splits into five separated terms, each
-a product of a theta-integral and an r-integral over [0, pi/2]. Every
-pairing total is linear in (a, b) with the closed-form coefficients of
-_EXPECTED_TOTALS; lambda1_dot, second_eigenvalue_form and the gap
-variation
+a product of a theta-integral and an r-integral over [0, pi/2]: I..IV are
+its coefficients of b and V of a, so its total in the direction (a, b) is
+_along((a, b), (c_a, c_b)) = a c_a + b c_b, with c_a = V, c_b = I + .. + IV.
+_EXPECTED_TERMS and _EXPECTED_TOTALS print both in closed form;
+lambda1_dot, second_eigenvalue_form and the gap variation
 
     I(z, b) = -<L1 u2, u2> + <L1 u1, u1>,   u2 = cos(z) u2_1 + sin(z) u2_2,
 
 evaluate those closed forms, and verify_appendix checks them, term by
-term, against the Gauss-Legendre quadrature of pairing_terms. I has
-global minimum 16/pi over z in [0, 2 pi], b in [0, 1] (a = sqrt(1-b^2)),
-which equals d/dt [4 pi / (pi/2 - t) + 10] at t = 0, the exact gap slope of
-the one-sided deformations.
+term and total by total, against one Gauss-Legendre quadrature of
+pairing_terms per pair. I has global minimum 16/pi over z in [0, 2 pi],
+b in [0, 1] (a = sqrt(1-b^2)), which equals d/dt [4 pi / (pi/2 - t) + 10]
+at t = 0, the exact gap slope of the one-sided deformations.
 
 The module needs math only. One routine computes I at one z over a list
 of directions: gap_variation_grid is it for one direction, and
@@ -134,68 +135,63 @@ L1_TERMS = (
 
 
 @dataclass(frozen=True)
-class PairingSpec:
-    """A (left, right) pair of mode names and a unit deformation direction."""
-
-    left: str
-    right: str
-    direction: tuple = (0.0, 1.0)
-
-    def __post_init__(self):
-        for name in (self.left, self.right):
-            if name not in _MODES:
-                raise ValueError(f"unknown mode {name!r}; choose from {MODE_NAMES}")
-        check_direction(*self.direction)
-
-
-@dataclass(frozen=True)
 class BilinearTermTable:
-    """The five separated terms of one pairing integral and their sum."""
+    """The five separated terms I..V of one pairing integral: I..IV are its
+    coefficients of b, V its coefficient of a."""
 
     terms: tuple
-    total: float
-
-    def __post_init__(self):
-        if abs(self.total - math.fsum(self.terms)) > 1e-12:
-            raise ValueError("total is not the sum of the terms")
 
     def __getitem__(self, label: str) -> float:
         return self.terms[TERM_LABELS.index(label)]
 
+    @property
+    def coefficients(self) -> tuple:
+        """(c_a, c_b) = (V, fsum(I..IV)), the pairing's total in direction
+        (a, b) being _along((a, b), coefficients)."""
+        return self.terms[4], math.fsum(self.terms[:4])
 
-def pairing_terms(spec: PairingSpec) -> BilinearTermTable:
-    """Term-by-term quadrature of integral of u_left * (L1 u_right) over the triangle.
+
+def pairing_terms(left: str, right: str) -> BilinearTermTable:
+    """Term-by-term quadrature of integral of u_left * (L1 u_right) over the
+    triangle, each term taken without its direction factor a or b.
 
     Each row of L1_TERMS gives one term, a product of a theta-integral and
     an r-integral (area element sin r), each a math.fsum over the same
     _NODES-point Gauss-Legendre rule on [0, pi/2], with the radial values of
-    the modes' radial_at_nodes.
+    the modes' radial_at_nodes. Raises ValueError for a name not in
+    MODE_NAMES.
     """
-    direction = dict(zip("ab", spec.direction))
-    left, right = _MODES[spec.left], _MODES[spec.right]
+    if not {left, right} <= _MODES.keys():
+        raise ValueError(f"unknown mode in {(left, right)}; choose from {MODE_NAMES}")
+    left, right = _MODES[left], _MODES[right]
     nodes, weights = gauss_legendre(0.0, PI / 2, _NODES)
     nn = left.norm * right.norm
     r_left = [w * rad[0] * math.sin(x) for x, w, rad in zip(nodes, weights, left.radial_at_nodes)]
     theta_left = [w * left.angular(x, 0) for x, w in zip(nodes, weights)]
-    terms = tuple(
-        term.constant * direction[term.component] * nn
+    return BilinearTermTable(tuple(
+        term.constant * nn
         * math.fsum(lw * term.angular(x) * right.angular(x, term.theta_order)
                     for x, lw in zip(nodes, theta_left))
         * math.fsum(lw * term.radial(x) * rad[term.r_order]
                     for x, lw, rad in zip(nodes, r_left, right.radial_at_nodes))
         for term in L1_TERMS
-    )
-    return BilinearTermTable(terms, math.fsum(terms))
+    ))
+
+
+def _along(direction, coefficients) -> float:
+    """a * c_a + b * c_b: a pairing total in the direction (a, b) from its
+    (a-coefficient, b-coefficient)."""
+    (a, b), (ca, cb) = direction, coefficients
+    return a * ca + b * cb
 
 
 def _form_totals(direction) -> tuple:
     """(c1, c11, c12, c22) in the direction (a, b): the closed-form pairing
     totals <L1 u1, u1>, <L1 u2_1, u2_1>, <L1 u2_1, u2_2> + <L1 u2_2, u2_1>
-    and <L1 u2_2, u2_2>, each a * c_a + b * c_b from _EXPECTED_TOTALS.
+    and <L1 u2_2, u2_2>, each _along (a, b) from _EXPECTED_TOTALS.
     Raises ValueError unless (a, b) passes geometry.check_direction."""
-    a, b = direction
-    check_direction(a, b)
-    total = {pair: a * ca + b * cb for pair, (ca, cb) in _EXPECTED_TOTALS.items()}
+    check_direction(*direction)
+    total = {pair: _along(direction, c) for pair, c in _EXPECTED_TOTALS.items()}
     return (total[("u1", "u1")], total[("u2_1", "u2_1")],
             total[("u2_1", "u2_2")] + total[("u2_2", "u2_1")], total[("u2_2", "u2_2")])
 
@@ -293,7 +289,8 @@ def gap_variation_table(z_steps: int, b_steps: int, *, a=None, b=None) -> Variat
     return VariationTable(zs, bs, tuple(values), minimum)
 
 
-# printed closed-form values for every pairing term (b-part for I..IV, a-part for V)
+# printed closed-form values of every pairing term as pairing_terms returns
+# them: the coefficient of b for I..IV, of a for V
 _SQ23 = math.sqrt(C2 * C3)
 _EXPECTED_TERMS = {
     ("u1", "u1"): (
@@ -333,8 +330,9 @@ _EXPECTED_TERMS = {
     ),
 }
 
-# combined totals as (a-coefficient, b-coefficient): the first variation
-# reads these, and verify_appendix checks them against the quadrature
+# each pair's (c_a, c_b), the (V, I + II + III + IV) of its row above in
+# closed form: the first variation reads these, and verify_appendix checks
+# them against the quadrature
 _EXPECTED_TOTALS = {
     ("u1", "u1"): (-28.0 / PI, -28.0 / PI),
     ("u2_1", "u2_1"): (-44.0 / PI, -77.0 / PI),
@@ -373,24 +371,21 @@ class AppendixReport:
 def verify_appendix() -> AppendixReport:
     """Compare every pairing term and total against its printed closed form.
 
-    Terms I..IV are checked at direction (a, b) = (0, 1) and term V at
-    (1, 0), isolating their direction coefficient; totals are checked at
-    (0.6, 0.8), exercising both parts at once. A difference >= 1e-9 marks
-    the entry (and the report) as failed rather than raising.
+    One pairing_terms quadrature per pair gives its terms I..IV (its
+    coefficients of b) and V (of a), each checked against _EXPECTED_TERMS;
+    its total is checked at (a, b) = (0.6, 0.8), both parts at once, as
+    _along gives it from the computed and from the _EXPECTED_TOTALS
+    coefficients. A difference >= 1e-9 marks the entry (and the report) as
+    failed rather than raising.
     """
     entries = []
     for pair, expected in _EXPECTED_TERMS.items():
-        got_b = pairing_terms(PairingSpec(*pair, (0.0, 1.0)))
-        got_a = pairing_terms(PairingSpec(*pair, (1.0, 0.0)))
-        computed = (*got_b.terms[:4], got_a.terms[4])
-        for label, comp, exp in zip(TERM_LABELS, computed, expected):
+        table = pairing_terms(*pair)
+        rows = [*zip(TERM_LABELS, table.terms, expected),
+                ("total", _along(_TOTAL_CHECK_DIRECTION, table.coefficients),
+                 _along(_TOTAL_CHECK_DIRECTION, _EXPECTED_TOTALS[pair]))]
+        for label, comp, exp in rows:
             err = abs(comp - exp)
             entries.append(AppendixEntry(
                 f"{pair[0]}*{pair[1]}:{label}", comp, exp, err, err < _APPENDIX_TOL))
-        a, b = _TOTAL_CHECK_DIRECTION
-        tot = pairing_terms(PairingSpec(*pair, (a, b))).total
-        exp_tot = a * _EXPECTED_TOTALS[pair][0] + b * _EXPECTED_TOTALS[pair][1]
-        err = abs(tot - exp_tot)
-        entries.append(AppendixEntry(
-            f"{pair[0]}*{pair[1]}:total", tot, exp_tot, err, err < _APPENDIX_TOL))
     return AppendixReport(tuple(entries), _APPENDIX_TOL)

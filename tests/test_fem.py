@@ -1,5 +1,6 @@
 """Tests for the finite-element eigensolver on the pullback metric."""
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -326,6 +327,21 @@ def test_fem_mode_labels_follow_the_gap_regime(spec_type, beta_pi):
         assert set(labels[1:]) == {(1, 1), (2, 0)}
     else:
         assert labels[1] == ((1, 1) if gap_regime(spec).startswith("beta<=") else (2, 0))
+
+
+@pytest.mark.parametrize("spec", [TriangleSpec(PI / 2), TriangleSpec(PI / 3),
+                                  LuneSpec(PI / 2), LuneSpec(2 * PI / 3)],
+                         ids=["triangle-pi/2", "triangle-pi/3", "lune-pi/2", "lune-2pi/3"])
+def test_fem_mode_labels_follow_five_levels(spec):
+    # at rational beta levels beyond the second are multiple: the discrete
+    # pairs of each of the first five levels carry exactly its mode labels,
+    # whatever their order inside the level. Observed: the widest level,
+    # 132 on the pi/2 triangle, spans 132.17-132.30 at n = 96
+    levels = spectrum(spec, 5)
+    picked = iter(assemble(spec, 96).factors._smallest(sum(len(e.modes) for e in levels)))
+    for entry in levels:
+        labels = {(k, j) for _, k, j in itertools.islice(picked, len(entry.modes))}
+        assert labels == {(m.k, m.j) for m in entry.modes}
 
 
 # an off-axis deformation at t > 0 is not separable, so it runs LOBPCG

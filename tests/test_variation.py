@@ -21,8 +21,6 @@ from spheregap.variation import (
     C3,
     MIN_GAP_VARIATION,
     AppendixReport,
-    BilinearTermTable,
-    PairingSpec,
     gap_variation_grid,
     gap_variation_table,
     lambda1_dot,
@@ -41,13 +39,14 @@ SQ23 = math.sqrt(C2 * C3)
 
 
 def test_first_mode_pairing_terms():
-    table = pairing_terms(PairingSpec("u1", "u1", (0.0, 1.0)))
+    table = pairing_terms("u1", "u1")
     assert abs(table["I"] - (-C1 * 1408.0 / (1575.0 * PI))) < 1e-9
     assert abs(table["II"] - (C1 * 64.0 / (1575.0 * PI))) < 1e-9
-    assert abs(table.total - (-28.0 / PI)) < 1e-9
-    table_a = pairing_terms(PairingSpec("u1", "u1", (1.0, 0.0)))
-    assert abs(table_a["V"] - (-C1 * 8.0 / 15.0)) < 1e-9
-    assert abs(table_a.total - (-28.0 / PI)) < 1e-9
+    assert abs(table["V"] - (-C1 * 8.0 / 15.0)) < 1e-9
+    # the a- and b-coefficients of the total
+    c_a, c_b = table.coefficients
+    assert abs(c_a - (-28.0 / PI)) < 1e-9
+    assert abs(c_b - (-28.0 / PI)) < 1e-9
 
 
 def test_pairing_totals_match_closed_forms():
@@ -60,22 +59,22 @@ def test_pairing_totals_match_closed_forms():
     }
     directions = [(0.0, 1.0), (1.0, 0.0), (1 / math.sqrt(2), 1 / math.sqrt(2)), (0.6, 0.8)]
     for pair, ref in expected.items():
+        coefficients = pairing_terms(*pair).coefficients
         for a, b in directions:
-            total = pairing_terms(PairingSpec(*pair, (a, b))).total
+            total = variation._along((a, b), coefficients)
             assert abs(total - ref(a, b)) < 1e-12
 
 
 def test_mixed_pairing_equals_sqrtC2C3_form():
     # sqrt(C2 C3) * 16/105 is the same closed value as 11 sqrt(3)/pi
     assert abs(SQ23 * 16.0 / 105.0 - 11.0 * math.sqrt(3.0) / PI) < 1e-14
-    total = pairing_terms(PairingSpec("u2_1", "u2_2", (0.0, 1.0))).total
-    assert abs(total - SQ23 * 16.0 / 105.0) < 1e-9
+    c_b = pairing_terms("u2_1", "u2_2").coefficients[1]
+    assert abs(c_b - SQ23 * 16.0 / 105.0) < 1e-9
 
 
 def test_term_v_vanishes_for_mixed_pairings():
     for pair in (("u2_2", "u2_1"), ("u2_1", "u2_2")):
-        table = pairing_terms(PairingSpec(*pair, (1.0, 0.0)))
-        assert abs(table["V"]) < 1e-12
+        assert abs(pairing_terms(*pair)["V"]) < 1e-12
 
 
 def test_terms_separability_against_2d_quadrature():
@@ -107,11 +106,10 @@ def test_terms_separability_against_2d_quadrature():
             (4 / PI) * np.sum(W * u_l * R * np.sin(T) * cos_r / sin_r**3 * d_tt * sin_r),
         )
         a_term = (4 / PI) * np.sum(W * u_l / sin_r**2 * d_tt * sin_r)
-        table_b = pairing_terms(PairingSpec(left, right, (0.0, 1.0)))
-        table_a = pairing_terms(PairingSpec(left, right, (1.0, 0.0)))
-        for sep, full in zip(table_b.terms[:4], b_terms):
+        table = pairing_terms(left, right)
+        for sep, full in zip(table.terms[:4], b_terms):
             assert abs(sep - full) < 1e-9
-        assert abs(table_a.terms[4] - a_term) < 1e-9
+        assert abs(table.terms[4] - a_term) < 1e-9
 
 
 @pytest.mark.parametrize("name, eigenvalue", [("u1", 12.0), ("u2_1", 30.0), ("u2_2", 30.0)])
@@ -143,15 +141,10 @@ def test_mode_tables_are_the_normalized_eigenfunctions(name, mode):
             assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
-def test_bilinear_table_validation():
-    with pytest.raises(ValueError):
-        BilinearTermTable((1.0, 0.0, 0.0, 0.0, 0.0), 2.0)
-    with pytest.raises(ValueError):
-        PairingSpec("u1", "nope")
-    with pytest.raises(ValueError):
-        PairingSpec("u1", "u1", (1.0, 1.0))
-    with pytest.raises(ValueError, match="nonnegative"):
-        PairingSpec("u1", "u1", (-1.0, 0.0))
+def test_pairing_terms_rejects_unknown_modes():
+    for pair in (("u1", "nope"), ("u3", "u1"), ("U1", "u1")):
+        with pytest.raises(ValueError, match="unknown mode"):
+            pairing_terms(*pair)
 
 
 # ------------------------------------------------------------ lambda1 dot
@@ -377,6 +370,24 @@ def test_verify_appendix_passes():
     assert max(e.abs_err for e in report.entries) < 1e-9
     labels = [e.label for e in report.entries]
     assert "u1*u1:I" in labels and "u2_2*u2_2:total" in labels
+
+
+def test_verify_appendix_is_exact_to_rounding():
+    # stricter than the report's own 1e-9 pass rule (observed 7.1e-15)
+    assert max(e.abs_err for e in verify_appendix().entries) <= 1e-13
+
+
+def test_verify_appendix_makes_one_quadrature_per_pair(monkeypatch):
+    calls = []
+
+    def counted(left, right):
+        calls.append((left, right))
+        return pairing_terms(left, right)
+
+    monkeypatch.setattr(variation, "pairing_terms", counted)
+    assert verify_appendix().passed
+    # five pairs, one call each
+    assert calls == list(variation._EXPECTED_TERMS) and len(calls) == 5
 
 
 def test_verify_appendix_reports_failures_instead_of_passing_silently(monkeypatch):
