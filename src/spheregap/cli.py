@@ -4,7 +4,8 @@ Subcommands: spectrum, gap-curve, variation, verify-appendix, solve,
 gap-slope. Output is CSV (default) or JSON with identical numeric payloads;
 floats are printed with 17 significant digits so identical invocations give
 byte-identical output. Exit codes: 0 success, 1 usage error, 2 numerical
-failure (running out of memory included), 3 verification failure.
+failure (running out of memory included), 3 verification failure, 141
+(128 + SIGPIPE) when the reader closes stdout early, as `| head` does.
 """
 import argparse
 import itertools
@@ -286,8 +287,18 @@ def main(argv=None) -> int:
         _cap_threads(os.environ.get("SPHEREGAP_THREADS", "").strip() or "1")
     parser = build_parser()
     args = parser.parse_args(argv)
+    # -0.0 + 0.0 is +0.0, so no direction component prints as -0
+    for name in ("a", "b"):
+        if getattr(args, name, None) is not None:
+            setattr(args, name, getattr(args, name) + 0.0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the exit flush of what is left in the buffer goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except SphereGapError as exc:
         print(f"spheregap: numerical failure: {exc}", file=sys.stderr)
         return 2

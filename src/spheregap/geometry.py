@@ -8,11 +8,15 @@ family is realized on the fixed coordinate rectangle by the diffeomorphism
     F_t(r, theta) = (r - l(z, psi) * 2r/pi, psi),    psi = (1 - A) theta,
 
 where A = 2 a t / pi, z = z(a, b, t) is the apex offset angle, and
-l(alpha, theta) is the spherical side-length function below. Pulling the
-round metric back through F_t turns the eigenvalue problem on T(t) into a
-variable-coefficient problem on the rectangle; this module supplies the
-weak-form coefficient fields of the exact pullback metric that the
-finite-element assembly samples. The first-order (in t) correction
+l(alpha, theta) is the spherical side-length function below. Both follow
+from Napier's rule for a right spherical triangle, tan(opposite side) =
+tan(angle) sin(adjacent side): tan l(alpha, theta) = tan(alpha) sin(theta),
+and the apex tangent is k = tan z = tan(b t) / cos(a t). The fields are
+l = arctan(k sin psi) and its slope, with no inverse sine or square root.
+Pulling the round metric back through F_t turns the eigenvalue problem on
+T(t) into a variable-coefficient problem on the rectangle; this module
+supplies the weak-form coefficient fields of the exact pullback metric
+that the finite-element assembly samples. The first-order (in t) correction
 operator L1 of the Laplacian is the table variation.L1_TERMS.
 
 Directions need math only, so the closed-form first variation loads no
@@ -53,61 +57,60 @@ class DeformationParams:
             raise ValueError("t too large: the moved apex leaves the quadrant")
 
 
+def _napier(k, psi):
+    """(l, dl/dpsi) where tan l = k sin psi, Napier's rule for the right
+    spherical triangle whose angle at the vertex on the equator has tangent k."""
+    import numpy as np
+
+    u = k * np.sin(psi)
+    return np.arctan(u), k * np.cos(psi) / (1.0 + u * u)
+
+
 def side_distance(alpha, theta):
     """Distance from the equator to the slanted side, as a function of longitude.
 
     For the spherical triangle with a side of length theta on the equator,
-    a right angle at its far end and angle alpha at the near end,
+    a right angle at its far end and angle alpha at the near end, Napier's
+    rule gives tan l = tan(alpha) sin(theta), so
 
-        l(alpha, theta) = arcsin( sin(alpha) sin(theta)
-                                  / sqrt(1 - sin^2(alpha) cos^2(theta)) ).
+        l(alpha, theta) = arctan( tan(alpha) sin(theta) ),
 
-    The denominator vanishes only at alpha = pi/2, theta = 0; the limit 0
-    along theta -> 0 is returned there. Accepts scalars or arrays.
+    with the tangent k = tan(alpha) as the one parameter. Defined for
+    alpha in [0, pi/2]; at alpha = pi/2, theta = 0 the float tan(alpha) is
+    finite and l = 0, the limit along theta -> 0. Accepts scalars or arrays.
     """
     import numpy as np
 
-    sa, st, ct = np.sin(alpha), np.sin(theta), np.cos(theta)
-    den_sq = 1.0 - sa**2 * ct**2
-    tiny = den_sq < 1e-30
-    den = np.sqrt(np.where(tiny, 1.0, den_sq))
-    val = np.arcsin(np.clip(sa * st / den, -1.0, 1.0))
-    out = np.where(tiny, 0.0, val)
+    out = _napier(np.tan(alpha), theta)[0]
     return float(out) if np.ndim(out) == 0 else out
 
 
-def side_distance_dtheta(alpha, theta):
-    """Analytic d/dtheta of side_distance: sin(a)cos(a)cos(th) / (1 - sin^2(a)cos^2(th))."""
-    import numpy as np
-
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    ct = np.cos(theta)
-    out = sa * ca * ct / (1.0 - sa**2 * ct**2)
-    return float(out) if np.ndim(out) == 0 else out
+def _apex_tangent(params: DeformationParams) -> float:
+    """tan z = tan(b t) / cos(a t), Napier's rule l(z, pi/2 - a t) = b t."""
+    return math.tan(params.b * params.t) / math.cos(params.a * params.t)
 
 
 def apex_offset(params: DeformationParams) -> float:
     """Angle z(a, b, t) the slanted side makes at the vertex (pi/2, 0).
 
-    Defined by l(z, pi/2 - a t) = b t; in closed form
-    z = arcsin( sin(b t) / sqrt(cos^2(a t) + sin^2(b t) sin^2(a t)) ).
+    Defined by l(z, pi/2 - a t) = b t; by Napier's rule its tangent is
+    k = tan z = tan(b t) / cos(a t), and z = arctan(k).
     """
-    sb = math.sin(params.b * params.t)
-    ca = math.cos(params.a * params.t)
-    sa = math.sin(params.a * params.t)
-    return math.asin(sb / math.sqrt(ca * ca + sb * sb * sa * sa))
+    return math.atan(_apex_tangent(params))
 
 
 def _deformation_fields(params: DeformationParams, theta):
-    """(A, psi, l, L) at longitude theta, with L = d/dtheta [l(z, (1-A) theta)]."""
+    """(A, psi, l, L) at longitude theta, with L = d/dtheta [l(z, (1-A) theta)].
+
+    Both fields come from the apex tangent k: with u = k sin(psi),
+    l = arctan(u) and L = (1 - A) k cos(psi) / (1 + u^2).
+    """
     import numpy as np
 
-    z = apex_offset(params)
     A = 2.0 * params.a * params.t / math.pi
     psi = (1.0 - A) * np.asarray(theta, dtype=float)
-    l = side_distance(z, psi)
-    L = (1.0 - A) * side_distance_dtheta(z, psi)
-    return A, psi, l, L
+    l, dl = _napier(_apex_tangent(params), psi)
+    return A, psi, l, (1.0 - A) * dl
 
 
 def metric_coefficients(params: DeformationParams, r, theta):

@@ -543,6 +543,19 @@ def test_console_entry_point_subprocess():
     assert out.stdout.splitlines()[1].startswith("12,1,")
 
 
+def test_closed_stdout_pipe_exits_141_quietly():
+    # a reader that stops after one line, as `| head -1` does: the grid's
+    # 2 MB outgrow the pipe, a later write meets the closed pipe, and the
+    # command exits with 128 + SIGPIPE and no traceback
+    proc = subprocess.Popen([sys.executable, "-m", "spheregap.cli", "variation"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"# min_value=")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 141
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_fem_bytes_do_not_depend_on_the_default_thread_count():
     # the command line runs one BLAS thread unless SPHEREGAP_THREADS says
     # otherwise; with the BLAS default (one thread per core) this separable

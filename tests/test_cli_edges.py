@@ -2,12 +2,13 @@
 
 spectrum, gap-curve, variation and verify-appendix run in process through
 cli.main on seeded random.Random draws whose numbers include NaN, +-inf, 0,
--0.0 and the ends of (0, 2 pi). Every run must exit with 0-3, write exactly
-one "spheregap:" line to stderr when it fails and nothing when it succeeds,
-print only finite numbers (and valid JSON where JSON is asked for), and
-print the same bytes when rerun. A gap-curve run over a valid range must
-not be a usage error, and when it succeeds it must start at beta-min and
-end at beta-max.
+-0.0 and the ends of (0, 2 pi); the fixed cases add solve and gap-slope
+with a -0.0 direction component. Every run must exit with 0-3, write
+exactly one "spheregap:" line to stderr when it fails and nothing when it
+succeeds, print only finite numbers and no negative zero (and valid JSON
+where JSON is asked for), and print the same bytes when rerun. A gap-curve
+run over a valid range must not be a usage error, and when it succeeds it
+must start at beta-min and end at beta-max.
 """
 import contextlib
 import io
@@ -117,7 +118,9 @@ def _check(argv):
     else:
         assert sum(line.startswith("spheregap:") for line in err.splitlines()) == 1, (argv, err)
     is_json = "--format=json" in argv
-    assert all(map(math.isfinite, _numbers(out, is_json))), argv
+    numbers = _numbers(out, is_json)
+    assert all(map(math.isfinite, numbers)), argv
+    assert not any(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in numbers), argv
     assert _run(argv) == (code, out, err), argv
     if argv[0] == "gap-curve":
         flags = dict(arg[2:].split("=") for arg in argv[1:] if "=" in arg)
@@ -151,6 +154,10 @@ def test_drawn_edge_inputs(seed):
     ["spectrum", "--domain", "triangle", "--beta=3e-154", "--count=50", "--format=json"],
     ["variation", "--a=-0.0", "--z-steps=1", "--b-steps=1", "--format=json"],
     ["variation", "--b=-0.0", "--z-steps=200", "--b-steps=200"],
+    ["solve", "--a=1", "--b=-0.0", "--t=0.05", "--grid-n=8", "--format=json"],
+    ["solve", "--a=-0.0", "--b=1", "--t=0.05", "--grid-n=8", "--format=json"],
+    ["gap-slope", "--a=1", "--b=-0.0", "--grid-n=8", "--format=json"],
+    ["gap-slope", "--a=-0.0", "--b=1", "--grid-n=8", "--format=json"],
     ["verify-appendix", "--format=json"],
 ])
 def test_fixed_edge_inputs(argv):

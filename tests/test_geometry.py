@@ -10,7 +10,6 @@ from spheregap.geometry import (
     check_direction,
     metric_coefficients,
     side_distance,
-    side_distance_dtheta,
 )
 from spheregap.variation import L1_TERMS
 
@@ -74,13 +73,17 @@ def test_side_distance_small_angle_slope():
 
 
 def test_side_distance_dtheta_matches_finite_difference():
+    # along (0, 1) A = 0 and z = alpha, so the slope field L is dl/dtheta
+    from spheregap.geometry import _deformation_fields
+
     rng = np.random.default_rng(43)
     for _ in range(50):
         alpha = float(rng.uniform(0.05, 1.5))
         theta = float(rng.uniform(0.05, PI / 2 - 0.05))
         h = 1e-6
         fd = (side_distance(alpha, theta + h) - side_distance(alpha, theta - h)) / (2 * h)
-        assert abs(fd - side_distance_dtheta(alpha, theta)) < 1e-8
+        L = _deformation_fields(DeformationParams(0.0, 1.0, alpha), theta)[3]
+        assert abs(fd - L) < 1e-8
 
 
 # -------------------------------------------------------- apex offset
@@ -416,3 +419,57 @@ def test_operator_is_first_order_term_of_deformed_laplacian():
         derivatives = {(1, 0): u_r(r, th), (2, 0): u_rr(r, th), (1, 1): u_rth(r, th),
                        (0, 2): u_thth(r, th)}
         assert abs(slope - _apply_l1((a, b), derivatives, r, th)) < 1e-4
+
+
+# ------------------------------------------------ accuracy over the range
+
+
+# directions (cos phi, sin phi) at phi = 0, 27, 45, 60 and 90 degrees
+_DIRECTIONS = [(1.0, 0.0), (math.cos(math.radians(27)), math.sin(math.radians(27))),
+               (math.sqrt(0.5), math.sqrt(0.5)), (0.5, math.sqrt(0.75)), (0.0, 1.0)]
+# fractions of a direction's largest t, at which the moved apex reaches the
+# edge of the quadrant: max(a, b) t = pi/2
+_FRACTIONS = (0.05, 0.5, 0.9, 0.99, 0.999)
+
+
+def _relative_error(got, ref):
+    return 0.0 if got == ref else float(abs(got - ref) / abs(ref))
+
+
+def test_geometry_matches_the_arcsin_form_to_rounding():
+    # 50-digit mpmath of the arcsin/sqrt side-length form, which shares no
+    # code path with the tangent form under test. On this grid the tangent
+    # form is off by at most 1.4e-13 (L at 0.999 of the largest t); the
+    # arcsin form in floats loses 2.1e-7 relative in l and 4.5e-6 in L there
+    import mpmath as mp
+
+    from spheregap.geometry import _deformation_fields
+
+    def side(alpha, psi):
+        """l(alpha, psi) and its psi-slope in the arcsin form."""
+        sa = mp.sin(alpha)
+        den_sq = 1 - sa**2 * mp.cos(psi) ** 2
+        return (mp.asin(sa * mp.sin(psi) / mp.sqrt(den_sq)),
+                sa * mp.cos(alpha) * mp.cos(psi) / den_sq)
+
+    thetas = np.linspace(0.0, PI / 2, 42)[1:-1]
+    worst = 0.0
+    with mp.workdps(50):
+        for a, b in _DIRECTIONS:
+            for f in _FRACTIONS:
+                t = f * (PI / 2) / max(a, b)
+                params = DeformationParams(a, b, t)
+                at, bt = mp.mpf(a) * t, mp.mpf(b) * t
+                z = mp.asin(mp.sin(bt) / mp.sqrt(mp.cos(at) ** 2
+                                                 + mp.sin(bt) ** 2 * mp.sin(at) ** 2))
+                z_float = apex_offset(params)
+                worst = max(worst, _relative_error(z_float, z))
+                one_m_a = 1 - 2 * at / mp.pi
+                _, _, l, L = _deformation_fields(params, thetas)
+                for theta, l_i, L_i in zip(thetas, l, L):
+                    l_ref, dl_ref = side(z, one_m_a * theta)
+                    worst = max(worst, _relative_error(l_i, l_ref),
+                                _relative_error(L_i, one_m_a * dl_ref),
+                                _relative_error(side_distance(z_float, theta),
+                                                side(mp.mpf(z_float), theta)[0]))
+    assert worst <= 1e-12, worst

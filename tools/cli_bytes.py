@@ -9,9 +9,12 @@ operations of perfbench seeds 0 to 4, each run once per checkout as
 SPHEREGAP_THREADS=1 so that FEM digits do not depend on the core count.
 The command list comes from this checkout's README.md and
 perfbench/workloads.py. One line per command says `identical`, or gives
-the number of differing stdout lines and any change of exit code, and
-then the command's peak resident set in OTHER_CHECKOUT and in this one;
-the first differing line of OTHER_CHECKOUT and of this checkout follow it.
+the number of differing stdout lines, the largest relative difference
+between the numbers of those lines, `non-numeric` when some differing line
+changes elsewhere than in its numbers (or has no counterpart), and any
+change of exit code; then the command's peak resident set in
+OTHER_CHECKOUT and in this one. The first differing line of OTHER_CHECKOUT
+and of this checkout follow it.
 The command with the largest peak of each checkout closes the list. A
 command reads its own peak (VmHWM, so Linux only) as it exits: the
 RUSAGE_CHILDREN peak of its launcher would count the launcher's own
@@ -27,6 +30,7 @@ import itertools
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -50,6 +54,8 @@ def write_peak():
 atexit.register(write_peak)
 runpy.run_module("spheregap.cli", run_name="__main__", alter_sys=True)
 """
+# a number of a CSV cell, a `# key=value` line or a JSON line
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
@@ -76,6 +82,16 @@ def _run(checkout: Path, args):
         out = subprocess.run([sys.executable, "-c", _LAUNCHER, str(peak_path), *args],
                              cwd=checkout, env=_env(checkout), capture_output=True, text=True)
         return out.returncode, out.stdout.splitlines(), int(peak_path.read_text()) / 1024.0
+
+
+def _relative_move(theirs, mine):
+    """Largest |x - y| / max(|x|, |y|) over the numbers of two differing
+    lines, or None when they differ elsewhere than in the values of their
+    numbers (text, or only how a number is written) or one is missing."""
+    if theirs is None or mine is None or _NUMBER.split(theirs) != _NUMBER.split(mine):
+        return None
+    pairs = zip(map(float, _NUMBER.findall(theirs)), map(float, _NUMBER.findall(mine)))
+    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y), default=None)
 
 
 def _eigen_results(checkout: Path, jobs_path: Path):
@@ -121,6 +137,13 @@ def main(argv) -> int:
         diffs = [(i, a, b) for i, (a, b) in
                  enumerate(itertools.zip_longest(other_lines, lines), 1) if a != b]
         verdict = "identical" if not diffs else f"{len(diffs)} of {len(lines)} lines differ"
+        if diffs:
+            moves = [_relative_move(theirs, mine) for _, theirs, mine in diffs]
+            numeric = [move for move in moves if move is not None]
+            if numeric:
+                verdict += f", numbers moved <= {max(numeric):.2g} relative"
+            if len(numeric) < len(moves):
+                verdict += ", non-numeric"
         if code != other_code:
             verdict += f", exit code {other_code} -> {code}"
         differing += verdict != "identical"
