@@ -647,6 +647,7 @@ def _solve_deformed(problem: DiscreteEigenproblem, m: int):
 
 def solve_smallest(problem: DiscreteEigenproblem, m: int):
     """m smallest generalized eigenpairs, ascending; returns (values, vectors).
+    m must be an integer (int or numpy integer) from 1 to problem.num_dof.
 
     A separable problem (fields depending on r only, see the module
     docstring) is solved exactly, one small radial pencil per theta mode.
@@ -661,6 +662,8 @@ def solve_smallest(problem: DiscreteEigenproblem, m: int):
     ConvergenceError is raised with the worst one; when ARPACK does not
     converge, it carries the worst one of the pairs ARPACK returned.
     """
+    if not isinstance(m, numbers.Integral):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > problem.num_dof:
@@ -675,25 +678,33 @@ def solve_smallest(problem: DiscreteEigenproblem, m: int):
     return vals, vecs
 
 
+def _gap_pairs(params: DeformationParams, grid_n: int):
+    """The _GAP_MODES smallest eigenpairs of T(t) on a grid_n x grid_n grid
+    and its mass matrix: (values, vectors, mass). The rest of the problem is
+    released on return, so a caller that solves several t holds one
+    assembled problem at a time, besides the mass matrices it keeps."""
+    problem = assemble(params, grid_n)
+    vals, vecs = solve_smallest(problem, _GAP_MODES)
+    return vals, vecs, problem.mass
+
+
 def numeric_gap(params: DeformationParams, grid_n: int) -> float:
     """lambda_2 - lambda_1 of the deformed triangle on a grid_n x grid_n
     grid, eigenvalue #2 counted with multiplicity."""
-    vals, _ = solve_smallest(assemble(params, grid_n), _GAP_MODES)
+    vals = _gap_pairs(params, grid_n)[0]
     return float(vals[1] - vals[0])
 
 
 def _neville_to_zero(ts, ys):
-    """Polynomial extrapolation of samples (t_i, y_i) to t = 0; returns the
-    tableau column endpoints (one per elimination level)."""
-    ts = np.asarray(ts, dtype=float)
-    cur = np.asarray(ys, dtype=float).copy()
-    levels = [float(cur[-1])]
+    """Polynomial extrapolation of samples (t_i, y_i) to t = 0 by Neville's
+    tableau, in Python floats; returns the last entry of each column, one
+    per elimination level."""
+    cur = [float(y) for y in ys]
+    levels = [cur[-1]]
     for k in range(1, len(ts)):
-        nxt = np.empty(len(cur) - 1)
-        for i in range(len(nxt)):
-            nxt[i] = (cur[i + 1] * ts[i] - cur[i] * ts[i + k]) / (ts[i] - ts[i + k])
-        cur = nxt
-        levels.append(float(cur[-1]))
+        cur = [(cur[i + 1] * ts[i] - cur[i] * ts[i + k]) / (ts[i] - ts[i + k])
+               for i in range(len(cur) - 1)]
+        levels.append(cur[-1])
     return levels
 
 
@@ -720,53 +731,39 @@ def gap_slope(direction, t_values, grid_n: int) -> GapSlopeResult:
     each gap solved on a grid_n x grid_n grid.
 
     t_values must be at least two positive values in strictly decreasing
-    order, since one t allows no extrapolation. Every solve converges the
-    _GAP_MODES = 3 pairs the gap uses: lambda_1 and the lambda_2 pair. The
-    second eigenvalue at t = 0 is discretely split (multiplicity 2 in the
-    continuum); the baseline uses the Rayleigh-weighted combination of the
-    split pair (indices 1 and 2) selected by the second eigenvector at the
-    smallest t, which removes the O(split/t) bias the plain minimum baseline
-    would leave behind. The factors that solve t = 0 exactly also give every
-    t its start vectors and preconditioner, so they are built once.
+    order, since one t allows no extrapolation. Every solve, through
+    _gap_pairs, converges the _GAP_MODES = 3 pairs the gap uses: lambda_1
+    and the lambda_2 pair. The second eigenvalue at t = 0 is discretely
+    split (multiplicity 2 in the continuum). The baseline lambda_2 is the
+    mean of that whole pair, vals0[1:_GAP_MODES], each value weighted by the
+    squared M-projection of the smallest t's lambda_2 vector onto its
+    eigenvector; no threshold decides which t = 0 values count. This removes
+    the O(split/t) bias that the plain lambda_2 baseline would leave behind.
+    The factors that solve t = 0 exactly also give every t its start vectors
+    and preconditioner, so they are built once.
     """
     ts = [float(t) for t in t_values]
     if not (len(ts) >= 2 and all(t > 0 for t in ts)
             and all(t1 > t2 for t1, t2 in zip(ts, ts[1:]))):
         raise ValueError("t_values must be positive and strictly decreasing (at least two)")
     a, b = direction
-
-    problem0 = assemble(DeformationParams(a, b, 0.0), grid_n)
-    vals0, vecs0 = solve_smallest(problem0, _GAP_MODES)
-
-    solved = []
+    vals0, vecs0, mass0 = _gap_pairs(DeformationParams(a, b, 0.0), grid_n)
+    gaps = []
     for t in ts:
-        problem = assemble(DeformationParams(a, b, t), grid_n)
-        vals, vecs = solve_smallest(problem, _GAP_MODES)
-        solved.append((t, vals, vecs))
-
-    lam2_base = vals0[1]
-    _, _, vecs_min = solved[-1]
-    v2 = vecs_min[:, 1]
-    cluster = [i for i in range(1, _GAP_MODES)
-               if vals0[i] - vals0[1] < 1e-3 * max(1.0, vals0[1])]
-    weights = np.abs(v2 @ (problem0.mass @ vecs0[:, cluster])) ** 2
-    if weights.sum() > 0:
-        lam2_base = float(np.sum(weights * vals0[cluster]) / weights.sum())
-    gap0 = float(lam2_base - vals0[0])
-
-    gaps = [float(v[1] - v[0]) for _, v, _ in solved]
-    slopes = [(g - gap0) / t for (t, _, _), g in zip(solved, gaps)]
+        vals, vecs, _ = _gap_pairs(DeformationParams(a, b, t), grid_n)
+        gaps.append(float(vals[1] - vals[0]))
+    # the smallest t's lambda_2 vector weights each vector of the t = 0 pair
+    weights = np.abs(vecs[:, 1] @ (mass0 @ vecs0[:, 1:_GAP_MODES])) ** 2
+    gap0 = float(np.sum(weights * vals0[1:_GAP_MODES]) / weights.sum() - vals0[0])
+    slopes = [(g - gap0) / t for t, g in zip(ts, gaps)]
     levels = _neville_to_zero(ts, slopes)
-    slope = levels[-1]
-    corrections = [abs(levels[i + 1] - levels[i]) for i in range(len(levels) - 1)]
-    error_estimate = corrections[-1]
-    warning = len(corrections) >= 2 and corrections[-1] > corrections[-2]
+    corrections = [abs(hi - lo) for lo, hi in zip(levels, levels[1:])]
     return GapSlopeResult(
-        slope=slope,
-        error_estimate=error_estimate,
+        slope=levels[-1],
+        error_estimate=corrections[-1],
         t_values=tuple(ts),
         gaps=tuple(gaps),
         slopes=tuple(slopes),
         gap_at_zero=gap0,
-        warning=warning,
+        warning=len(corrections) >= 2 and corrections[-1] > corrections[-2],
     )

@@ -7,6 +7,7 @@ asymptotic guess cos(pi (i + 3/4) / (n + 1/2)); the weights are
 rule is mirrored from them, so nodes and weights are exactly symmetric.
 """
 import math
+import numbers
 from functools import lru_cache
 
 # Newton steps per root; from the asymptotic guess a root settles in about 4
@@ -43,7 +44,10 @@ def _reference_rule(n: int):
 
 def gauss_legendre(a: float, b: float, n: int):
     """Nodes and weights of the n-point Gauss-Legendre rule on [a, b], as two
-    tuples of floats, nodes ascending. Raises ValueError for n < 1."""
+    tuples of floats, nodes ascending. Raises ValueError unless n is an
+    integer (int or numpy integer) >= 1."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"node count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("node count must be positive")
     x, w = _reference_rule(n)

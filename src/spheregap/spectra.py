@@ -120,7 +120,12 @@ def spectrum(spec, count: int) -> list:
     by a heap merge: (k, j) enters the heap when (k, j - 1) leaves it, or
     (k - 1, 0) when j = 0, both with smaller eigenvalues. Visiting M modes
     evaluates at most 2M + 1 eigenvalues, not count^2.
+
+    count must be an integer (int or numpy integer) >= 1; anything else,
+    a float such as 4.0 included, raises ValueError.
     """
+    if not isinstance(count, numbers.Integral):
+        raise ValueError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
 

@@ -33,6 +33,7 @@ gap_variation_table calls it once per z and holds its grid as tuples and
 array('d') rows.
 """
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -264,9 +265,11 @@ def gap_variation_table(z_steps: int, b_steps: int, *, a=None, b=None) -> Variat
     geometry.check_direction. Each row is _gap_variation_row at its z, as
     gap_variation_grid is for one direction. Where several cells share the
     minimal value, the first in z-major order is the minimum. Raises
-    ValueError for step counts below 1 or a direction that check_direction
-    rejects.
+    ValueError for step counts that are not integers (int or numpy integer)
+    >= 1, or for a direction that check_direction rejects.
     """
+    if not (isinstance(z_steps, numbers.Integral) and isinstance(b_steps, numbers.Integral)):
+        raise ValueError(f"step counts must be integers, got {z_steps!r} and {b_steps!r}")
     if z_steps < 1 or b_steps < 1:
         raise ValueError("step counts must be >= 1")
     zs = _linspace(2.0 * PI, z_steps)

@@ -2,8 +2,12 @@
 
 spectrum, gap-curve, variation and verify-appendix run in process through
 cli.main on seeded random.Random draws whose numbers include NaN, +-inf, 0,
--0.0 and the ends of (0, 2 pi); the fixed cases add solve and gap-slope
-with a -0.0 direction component. Every run must exit with 0-3, write
+-0.0 and the ends of (0, 2 pi). solve and gap-slope draw their direction
+from the axes (a zero component given as 0 or -0.0) or the unit circle,
+their grid from 8 to 24 nodes per axis, and t, or a decreasing list of 2
+to 4 t values, up to 0.95 of the direction's largest t, so that some
+solves take shift-invert; the fixed cases add solve and gap-slope with a
+-0.0 direction component. Every run must exit with 0-3, write
 exactly one "spheregap:" line to stderr when it fails and nothing when it
 succeeds, print only finite numbers and no negative zero (and valid JSON
 where JSON is asked for), and print the same bytes when rerun. A gap-curve
@@ -18,6 +22,7 @@ import random
 
 import pytest
 
+import spheregap.fem as fem
 from spheregap.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -70,6 +75,38 @@ def _draw(rng):
         # the b grid stays small: a full 200 x 200 grid would take most of
         # the module's time
         argv += [f"--z-steps={_steps(rng, 200)}", f"--b-steps={_steps(rng, 8)}"]
+    if rng.random() < 0.5:
+        argv.append("--format=json")
+    return argv
+
+
+def _direction(rng):
+    """--a and --b: an axis, written with a -0.0 component or not, or a
+    random unit vector; and the largest t of that direction."""
+    if rng.random() < 0.4:
+        a, b = rng.choice(((1.0, 0.0), (0.0, 1.0)))
+        zero = rng.choice(("0", "-0.0"))
+        flags = [f"--a={zero if a == 0.0 else 1}", f"--b={zero if b == 0.0 else 1}"]
+    else:
+        phi = rng.uniform(0.0, math.pi / 2)
+        a, b = math.cos(phi), math.sin(phi)
+        flags = [f"--a={a!r}", f"--b={b!r}"]
+    return flags, (math.pi / 2) / max(a, b)
+
+
+def _draw_fem(rng):
+    """A solve or gap-slope command on a grid of 8 to 24 nodes per axis, with
+    t up to 0.95 of the direction's largest t, where LOBPCG hands some
+    solves to shift-invert."""
+    command = rng.choice(("solve", "gap-slope"))
+    direction, largest = _direction(rng)
+    argv = [command, *direction, f"--grid-n={rng.randint(8, 24)}"]
+    if command == "solve":
+        argv += [f"--t={rng.uniform(0.0, 0.95) * largest!r}", f"--modes={rng.randint(1, 6)}"]
+    else:
+        ts = sorted((rng.uniform(0.0, 0.95) * largest for _ in range(rng.randint(2, 4))),
+                    reverse=True)
+        argv.append("--t-list=" + ",".join(map(repr, ts)))
     if rng.random() < 0.5:
         argv.append("--format=json")
     return argv
@@ -141,6 +178,18 @@ def test_drawn_edge_inputs(seed):
     codes = [_check(_draw(rng)) for _ in range(30)]
     # the draws reach both outcomes
     assert 0 in codes and 1 in codes
+
+
+# seeds whose draws reach shift-invert (4 to 10 calls each), 0.2-0.6 s each
+@pytest.mark.parametrize("seed", [103, 104, 108])
+def test_drawn_fem_inputs(seed, monkeypatch):
+    calls = []
+    shift_invert = fem._shift_invert
+    monkeypatch.setattr(fem, "_shift_invert", lambda *args: calls.append(1) or shift_invert(*args))
+    rng = random.Random(seed)
+    for _ in range(6):
+        _check(_draw_fem(rng))
+    assert calls
 
 
 @pytest.mark.parametrize("argv", [

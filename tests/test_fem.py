@@ -251,6 +251,17 @@ def test_gap_slope_converges_to_the_exact_slope(degrees):
     assert 3.5 <= errors[48] / errors[96] <= 5.0  # O(h^2): observed 4.08-4.74
 
 
+def test_gap_slope_baseline_weights_the_split_pair_on_a_coarse_grid():
+    # at n = 12 the t = 0 pair is split by 0.045, more than 1e-3 lambda_2,
+    # yet the baseline weights both of its vectors: gap_at_zero lies strictly
+    # between the two t = 0 gaps, where a threshold on the split once dropped
+    # lambda_3 and returned lambda_2 - lambda_1 itself (18.662587849417818)
+    direction, n = (0.6, 0.8), 12
+    result = gap_slope(direction, [0.02, 0.01, 0.005], n)
+    vals, _ = solve_smallest(assemble(DeformationParams(*direction, 0.0), n), 3)
+    assert vals[1] - vals[0] < result.gap_at_zero < vals[2] - vals[0]
+
+
 def test_gap_slope_validation():
     grid_n = 16
     with pytest.raises(ValueError):
@@ -273,6 +284,11 @@ def test_assemble_validation():
         solve_smallest(problem, problem.num_dof + 1)
     with pytest.raises(ValueError, match="m must be >= 1"):
         solve_smallest(problem, 0)
+    for m in (2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            solve_smallest(problem, m)
+    vals, _ = solve_smallest(problem, 2)
+    assert np.array_equal(solve_smallest(problem, np.int32(2))[0], vals)
 
 
 @pytest.mark.parametrize("spec_type", [LuneSpec, TriangleSpec])

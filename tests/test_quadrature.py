@@ -4,6 +4,7 @@ exactness on polynomials."""
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from spheregap.quadrature import gauss_legendre
@@ -53,3 +54,13 @@ def test_rule_on_an_interval():
 def test_rule_needs_a_node(n):
     with pytest.raises(ValueError, match="node count must be positive"):
         gauss_legendre(0.0, 1.0, n)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+def test_rule_needs_an_integer_node_count(n):
+    with pytest.raises(ValueError, match="node count must be an integer"):
+        gauss_legendre(0.0, 1.0, n)
+
+
+def test_rule_takes_a_numpy_integer():
+    assert gauss_legendre(0.0, 1.0, np.int64(5)) == gauss_legendre(0.0, 1.0, 5)

@@ -155,9 +155,19 @@ def test_spectrum_evaluates_two_eigenvalues_per_mode(monkeypatch, spec):
     assert len(calls) <= 2 * sum(len(entry.modes) for entry in entries) + 3
 
 
-def test_spectrum_count_validation():
+def test_spectrum_count_validation(monkeypatch):
     with pytest.raises(ValueError):
         spectrum(TriangleSpec(PI / 2), 0)
+    # a count that is not an integer is refused before any eigenvalue is
+    # evaluated: 2.5 used to walk the whole box, as no level count equals it
+    calls = []
+    monkeypatch.setattr(spectra, "eigenvalue", lambda spec, mode: calls.append(1))
+    for count in (2.5, 4.0, 1e6 + 0.5, "3", None):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            spectrum(LuneSpec(1.0), count)
+    assert calls == []
+    monkeypatch.undo()
+    assert spectrum(LuneSpec(1.0), np.int64(3)) == spectrum(LuneSpec(1.0), 3)
 
 
 # ------------------------------------------------------------ gap

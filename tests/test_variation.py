@@ -249,6 +249,10 @@ def test_grid_step_counts_must_be_positive():
             gap_variation_table(z_steps, b_steps)
         with pytest.raises(ValueError, match="step counts must be >= 1"):
             gap_variation_table(z_steps, b_steps, b=0.5)
+    for z_steps, b_steps in ((1.5, 2), (2, 2.0), (3.0, 3.0), ("2", 2), (2, None)):
+        with pytest.raises(ValueError, match="step counts must be integers"):
+            gap_variation_table(z_steps, b_steps)
+    assert gap_variation_table(np.int64(5), np.int64(3)).values == gap_variation_table(5, 3).values
 
 
 def test_grid_equals_the_broadcast_evaluation():

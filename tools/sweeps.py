@@ -1,15 +1,18 @@
-"""FEM sweeps A and B near the largest deformation of each direction, and
-sweep C of near-full-spectrum requests.
+"""FEM sweeps A and B near the largest deformation of each direction, sweep
+C of near-full-spectrum requests and sweep D of gap slopes.
 
 Run from a source checkout, which it imports from ./src:
 
     python tools/sweeps.py > sweeps.txt     # 4 to 6 minutes
     python tools/sweeps.py C > sweep_c.txt  # the named sweeps only
 
-Every solve writes one line: the sweep, n, a, b, t and m, then either the m
-eigenvalues of `fem.solve_smallest` in float.hex or the error it raised. The
-BLAS runs one thread, so two checkouts whose FEM solves agree bit for bit
-write the same bytes, and `cmp` of the two files compares them.
+Every solve of sweeps A to C writes one line: the sweep, n, a, b, t and m,
+then either the m eigenvalues of `fem.solve_smallest` in float.hex or the
+error it raised. Every run of sweep D writes one line: the sweep, n, a, b
+and the t-list, then either the slope, error_estimate, gap_at_zero and
+warning of `fem.gap_slope` in float.hex or the error it raised. The BLAS
+runs one thread, so two checkouts whose FEM solves agree bit for bit write
+the same bytes, and `cmp` of the two files compares them.
 
 Sweep A (1920 solves): n in {12, 16, 20, 24, 32}; (a, b) = (cos phi, sin phi)
 for 8 phi from linspace(0.05, pi/2 - 0.05, 8); t = f (pi/2) / max(a, b) for
@@ -23,6 +26,10 @@ Sweep C (54 solves): n in {16, 24, 32}; the directions (1, 0), (0, 1) and
 (0.6, 0.8); t in {0.05, 0.3}; m = round(f num_dof) for f in {0.6, 0.8, 1}.
 The largest eigenvalue reaches 2e3 to 3e4 at f = 0.6 and 0.8, and 4e6 to
 9e7 at f = 1.
+
+Sweep D (25 runs): n in {8, 12, 16, 24, 48}; the directions (0, 1),
+(0.6, 0.8), (1/sqrt 2, 1/sqrt 2), (0.96, 0.28) and (1, 0);
+t = (0.02, 0.01, 0.005).
 """
 import math
 import os
@@ -38,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from spheregap.errors import SphereGapError  # noqa: E402
-from spheregap.fem import assemble, solve_smallest  # noqa: E402
+from spheregap.fem import assemble, gap_slope, solve_smallest  # noqa: E402
 from spheregap.geometry import DeformationParams  # noqa: E402
 
 
@@ -72,10 +79,7 @@ def _sweep_c():
                 yield n, direction, t, [round(f * num_dof) for f in (0.6, 0.8, 1.0)]
 
 
-SWEEPS = {"A": _sweep_a, "B": _sweep_b, "C": _sweep_c}
-
-
-def run(name, sweep, out):
+def _solve_lines(name, sweep):
     for n, (a, b), t, modes in sweep():
         problem = assemble(DeformationParams(a, b, t), n)
         for m in modes:
@@ -83,11 +87,32 @@ def run(name, sweep, out):
             try:
                 vals, _ = solve_smallest(problem, m)
             except SphereGapError as exc:
-                out.write(f"{head} {type(exc).__name__}: {exc}\n")
+                yield f"{head} {type(exc).__name__}: {exc}"
             else:
-                out.write(f"{head} {' '.join(float(v).hex() for v in vals)}\n")
+                yield f"{head} {' '.join(float(v).hex() for v in vals)}"
+
+
+def _sweep_d():
+    directions = ((0.0, 1.0), (0.6, 0.8), (1 / math.sqrt(2), 1 / math.sqrt(2)), (0.96, 0.28),
+                  (1.0, 0.0))
+    ts = (0.02, 0.01, 0.005)
+    for n in (8, 12, 16, 24, 48):
+        for a, b in directions:
+            head = f"D n={n} a={a.hex()} b={b.hex()} t={','.join(t.hex() for t in ts)}"
+            try:
+                r = gap_slope((a, b), ts, n)
+            except SphereGapError as exc:
+                yield f"{head} {type(exc).__name__}: {exc}"
+            else:
+                yield (f"{head} slope={r.slope.hex()} error_estimate={r.error_estimate.hex()}"
+                       f" gap_at_zero={r.gap_at_zero.hex()} warning={float(r.warning).hex()}")
+
+
+SWEEPS = {"A": lambda: _solve_lines("A", _sweep_a), "B": lambda: _solve_lines("B", _sweep_b),
+          "C": lambda: _solve_lines("C", _sweep_c), "D": _sweep_d}
 
 
 if __name__ == "__main__":
     for name in sys.argv[1:] or SWEEPS:
-        run(name, SWEEPS[name], sys.stdout)
+        for line in SWEEPS[name]():
+            sys.stdout.write(line + "\n")
