@@ -191,19 +191,28 @@ def _pencil_eigh(a, b):
     return 1.0 / inv_vals, (l_inv.T @ vecs) / np.sqrt(inv_vals)
 
 
+def _tridiagonal(diag, off):
+    """The dense symmetric tridiagonal matrix of the bands (diag, off)."""
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 class _SeparableFactors:
     """1D factors of a problem whose coefficient fields depend on r only.
 
-    K = stiffness_r (x) M_theta + weight_r (x) K_theta and
-    M = mass_r (x) M_theta, with tridiagonal radial matrices on the retained
-    radial nodes and the constant-coefficient Q1 theta pair on the n_theta
-    interior nodes of a grid of step h_theta.
+    K = K_r[w11] (x) M_theta + M_r[w22] (x) K_theta and
+    M = M_r[m] (x) M_theta. The three radial matrices are tridiagonal on the
+    n_r retained radial nodes, and each is kept as its bands (diag, off):
+    stiffness_r = K_r[w11], weight_r = M_r[w22], mass_r = M_r[m]. The theta
+    pair is the constant-coefficient Q1 pair on the n_theta interior nodes
+    of a grid of step h_theta.
 
     Theta mode k (k = 1 .. n_theta) has the sine vector s_k(j) =
     sin(k pi j / (n_theta + 1)), M_theta-normalized here, and the eigenvalue
     mu_k of the theta pencil; it leaves the radial pencil
-    (K_r + mu_k M_r[w22]) x = lambda M_r[m] x, and x (x) s_k is an
-    eigenvector of the 2D pencil. _separable_factors builds every instance.
+    A(mu_k) x = lambda M_r[m] x with A(mu) = K_r[w11] + mu M_r[w22], and
+    x (x) s_k is an eigenvector of the 2D pencil. _radial_bands forms
+    A(mu) for the direct solves of single modes and for the LDL^T factors
+    of all of them. _separable_factors builds every instance.
     """
 
     def __init__(self, stiffness_r, weight_r, mass_r, h_theta, n_theta):
@@ -212,8 +221,15 @@ class _SeparableFactors:
         self.mass_r = mass_r                # M_r[m]
         self.h_theta = h_theta
         self.n_theta = n_theta
+        self.size = len(mass_r[0]) * n_theta
         # theta mode k -> (eigenvalues, leading eigenvectors) of its radial pencil
         self._radial = {}
+
+    def _radial_bands(self, mu):
+        """Bands (diag, off) of A(mu) = K_r[w11] + mu M_r[w22], one column
+        per entry of the array mu."""
+        return tuple(k[:, None] + w[:, None] * mu
+                     for k, w in zip(self.stiffness_r, self.weight_r))
 
     @cached_property
     def _theta_modes(self):
@@ -231,8 +247,9 @@ class _SeparableFactors:
         """Solve the radial pencil of theta mode k (1-based) and keep all its
         eigenvalues but only its count leading eigenvectors, the ones that
         _smallest(count) can pick; returns (eigenvalues, eigenvectors)."""
-        mu_k = self._theta_modes[0][k - 1]
-        lams, vecs = _pencil_eigh(self.stiffness_r + mu_k * self.weight_r, self.mass_r)
+        diag, off = self._radial_bands(self._theta_modes[0][k - 1:k])
+        lams, vecs = _pencil_eigh(_tridiagonal(diag[:, 0], off[:, 0]),
+                                  _tridiagonal(*self.mass_r))
         self._radial[k] = lams, vecs[:, :count].copy()
         return self._radial[k]
 
@@ -260,8 +277,7 @@ class _SeparableFactors:
         out.T when out, a (count, n) block, is given."""
         picked = self._smallest(count)
         sines = self._theta_modes[1]
-        size = len(self.mass_r) * self.n_theta
-        vecs = np.empty((size, len(picked))) if out is None else out.T
+        vecs = np.empty((self.size, len(picked))) if out is None else out.T
         for vec, (_, k, c) in zip(vecs.T, picked):
             radial = self._radial[k][1]
             if radial.shape[1] <= c:
@@ -275,9 +291,8 @@ class _SeparableFactors:
         """Block size covering the cluster of the m-th eigenvalue: the
         smallest b >= m at which the spectrum has a relative gap above
         _CLUSTER_GAP, at most 2m and the number of unknowns."""
-        size = len(self.mass_r) * self.n_theta
-        limit = min(2 * m, size)
-        lams = [lam for lam, _, _ in self._smallest(min(limit + 1, size))]
+        limit = min(2 * m, self.size)
+        lams = [lam for lam, _, _ in self._smallest(min(limit + 1, self.size))]
         for b in range(m, limit):
             if lams[b] > (1.0 + _CLUSTER_GAP) * lams[b - 1]:
                 return b
@@ -285,12 +300,9 @@ class _SeparableFactors:
 
     @cached_property
     def _ldl(self):
-        """Unit lower factor and pivots of the tridiagonal K_r + mu_k M_r[w22]
-        for every theta mode at once, each shaped (n_r, n_theta)."""
-        mu = self._theta_modes[0]
-        diag = np.diagonal(self.stiffness_r)[:, None] + np.diagonal(self.weight_r)[:, None] * mu
-        off = (np.diagonal(self.stiffness_r, 1)[:, None]
-               + np.diagonal(self.weight_r, 1)[:, None] * mu)
+        """Unit lower factor and pivots of the tridiagonal A(mu_k) for every
+        theta mode at once, each shaped (n_r, n_theta)."""
+        diag, off = self._radial_bands(self._theta_modes[0])
         lower = np.zeros_like(diag)
         pivot = diag.copy()
         for i in range(1, len(diag)):
@@ -372,7 +384,9 @@ def _local_matrices(a11, a12, a22, am, phi, dphx, dphy):
 
 
 def _line_matrix(coef, basis, scale):
-    """Dense 1D Q1 matrix, sum over cells of the integral of coef * u_a * u_b.
+    """Bands (diag, off) of a 1D Q1 matrix, the sum over cells of the
+    integral of coef * u_a * u_b: its diagonal, cells + 1 long, and its
+    symmetric off-diagonal, one entry per cell.
 
     coef: (cells, 3) samples at the Gauss points of each cell; basis: (2, 3)
     values of the two cell shape functions, or of their reference
@@ -380,34 +394,37 @@ def _line_matrix(coef, basis, scale):
     mass, 1/h for a stiffness).
     """
     loc = np.einsum("cq,aq,bq->cab", coef * (_GAUSS3_WEIGHTS * scale), basis, basis)
-    cells = np.arange(len(coef))
-    out = np.zeros((len(coef) + 1,) * 2)
-    out[cells, cells] += loc[:, 0, 0]
-    out[cells + 1, cells + 1] += loc[:, 1, 1]
-    out[cells, cells + 1] = out[cells + 1, cells] = loc[:, 0, 1]
-    return out
+    diag = np.zeros(len(coef) + 1)
+    diag[:-1] += loc[:, 0, 0]
+    diag[1:] += loc[:, 1, 1]
+    return diag, loc[:, 0, 1]
+
+
+def _grid(spec, n: int):
+    """(n_r, h_r, h_theta) of the n x n node grid of spec: the retained radial
+    rows, where a triangle drops its Dirichlet rim r = r_max and a lune keeps
+    both poles, and the two grid steps."""
+    n_r = n if isinstance(spec, LuneSpec) else n - 1
+    return n_r, spec.r_max / (n - 1), spec.beta / (n - 1)
 
 
 @lru_cache(maxsize=4)
 def _separable_factors(params: DeformationParams, spec, n: int) -> _SeparableFactors:
-    """The 1D factors of the r-only fields of params on the n x n grid of spec.
+    """The 1D factors of the r-only fields of params on the n x n grid of spec,
+    each radial matrix as its bands cut to the retained radial nodes.
 
     The fields are sampled at one theta per radial Gauss point, since they
     do not depend on theta. Every t = 0 problem comes as params = _ROUND,
     so one entry serves the t = 0 baseline of a grid and the reference
     (start block and preconditioner) of every deformation on it."""
-    n_r = n if isinstance(spec, LuneSpec) else n - 1
-    hx, hy = spec.r_max / (n - 1), spec.beta / (n - 1)
+    n_r, hx, hy = _grid(spec, n)
     rq = (np.arange(n - 1)[:, None] + _GAUSS3_NODES) * hx
     w11, _, w22, m = metric_coefficients(params, rq, _GAUSS3_NODES[0] * hy)
     phi = np.stack([1.0 - _GAUSS3_NODES, _GAUSS3_NODES])
     dphi = np.array([[-1.0], [1.0]]) * np.ones(3)
-    return _SeparableFactors(
-        stiffness_r=_line_matrix(w11, dphi, 1.0 / hx)[:n_r, :n_r],
-        weight_r=_line_matrix(w22, phi, hx)[:n_r, :n_r],
-        mass_r=_line_matrix(m, phi, hx)[:n_r, :n_r],
-        h_theta=hy, n_theta=n - 2,
-    )
+    stiffness_r, weight_r, mass_r = ((diag[:n_r], off[:n_r - 1]) for diag, off in (
+        _line_matrix(w11, dphi, 1.0 / hx), _line_matrix(w22, phi, hx), _line_matrix(m, phi, hx)))
+    return _SeparableFactors(stiffness_r, weight_r, mass_r, h_theta=hy, n_theta=n - 2)
 
 
 def _stencil(loc, n, n_r) -> StencilMatrix:
@@ -463,9 +480,7 @@ def assemble(domain, grid_n: int) -> DiscreteEigenproblem:
         raise TypeError("domain must be a LuneSpec, TriangleSpec or DeformationParams, "
                         f"got {type(domain).__name__}")
     n = int(grid_n)
-    n_r = n if isinstance(spec, LuneSpec) else n - 1
-    hx = spec.r_max / (n - 1)
-    hy = spec.beta / (n - 1)
+    n_r, hx, hy = _grid(spec, n)
     wq, phi, dphx, dphy = _reference_basis()
 
     nc = n - 1

@@ -14,7 +14,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import spheregap.fem as fem
-from spheregap.errors import ConvergenceError
+from spheregap.errors import ConvergenceError, SphereGapError
 from spheregap.fem import assemble, gap_slope, numeric_gap, solve_smallest
 from spheregap.geometry import DeformationParams, metric_coefficients
 from spheregap.spectra import LuneSpec, TriangleSpec, gap as closed_gap, gap_regime, spectrum
@@ -260,6 +260,22 @@ def test_gap_slope_baseline_weights_the_split_pair_on_a_coarse_grid():
     result = gap_slope(direction, [0.02, 0.01, 0.005], n)
     vals, _ = solve_smallest(assemble(DeformationParams(*direction, 0.0), n), 3)
     assert vals[1] - vals[0] < result.gap_at_zero < vals[2] - vals[0]
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="gap_slope mixes two lambda_2 branches that cross inside the t-list")
+def test_gap_slope_flags_a_branch_crossing_on_a_coarse_grid():
+    # at n = 8 along (1, 0) the discrete lambda_2 is mode (2, 0) at t = 0 and
+    # t = 0.005 but mode (1, 1) at 0.01 and 0.02, so the three slopes come
+    # from two branches over one baseline: gap_slope returns 27.634 with
+    # warning False against the exact 16 / pi = 5.0930. An answer within 10 %,
+    # a warning or a refusal all pass
+    exact = 16.0 / PI
+    try:
+        result = gap_slope((1.0, 0.0), [0.02, 0.01, 0.005], 8)
+    except (SphereGapError, ValueError):
+        return
+    assert result.warning or abs(result.slope - exact) <= 0.1 * exact
 
 
 def test_gap_slope_validation():
@@ -838,6 +854,49 @@ def test_separable_solve_bitwise_across_processes():
                          text=True, check=True)
     assert out.stdout.split() == ([float(x).hex() for x in vals]
                                   + [hashlib.sha256(vecs.tobytes()).hexdigest()])
+
+
+def _band_matrix(diag, off):
+    """The dense symmetric tridiagonal matrix of a diagonal and its off-diagonal."""
+    return sp.diags([off, diag, off], [-1, 0, 1]).toarray()
+
+
+@pytest.mark.parametrize("n", [8, 9, 33])
+@pytest.mark.parametrize("spec", [TriangleSpec(PI / 2), TriangleSpec(0.7), LuneSpec(0.3 * PI)],
+                         ids=["triangle-half", "triangle-0.7", "lune-0.3pi"])
+def test_round_stencils_are_kronecker_sums_of_the_bands(spec, n):
+    # the 2D assembly and the radial bands of its factors describe one
+    # operator: K = K_r[w11] (x) M_theta + M_r[w22] (x) K_theta and
+    # M = M_r[m] (x) M_theta, with the constant-coefficient Q1 theta pair.
+    # Observed within 4.9e-16 of the largest entry on every case
+    problem = assemble(spec, n)
+    factors = problem.factors
+    h, n_t = factors.h_theta, factors.n_theta
+    ones = np.ones(n_t - 1)
+    mass_t = h / 6.0 * _band_matrix(4.0 * np.ones(n_t), ones)
+    stiffness_t = _band_matrix(2.0 * np.ones(n_t), -ones) / h
+    stiffness_r, weight_r, mass_r = (_band_matrix(*bands) for bands in (
+        factors.stiffness_r, factors.weight_r, factors.mass_r))
+    for assembled, kron in ((problem.stiffness, np.kron(stiffness_r, mass_t)
+                             + np.kron(weight_r, stiffness_t)),
+                            (problem.mass, np.kron(mass_r, mass_t))):
+        dense = assembled.toarray()
+        assert dense.shape == kron.shape
+        assert np.max(np.abs(dense - kron)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_round_factors_allocate_no_dense_radial_matrix():
+    # the radial matrices are bands from the element loop on: 0.07 MB
+    # observed at n = 256, where scattering them into dense (n x n) arrays
+    # first peaked at 1.63 MB
+    fem._separable_factors.cache_clear()
+    tracemalloc.start()
+    try:
+        fem._separable_factors(fem._ROUND, TriangleSpec(PI / 2), 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 256 * 8
 
 
 _DEFORMED_CASES = [

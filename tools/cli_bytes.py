@@ -21,10 +21,12 @@ RUSAGE_CHILDREN peak of its launcher would count the launcher's own
 resident set, which a child started by vfork is charged with.
 
 Then each checkout's perfbench/eigen_driver.py runs the `eigenfunctions`
-job list of each of those seeds, also with one BLAS thread. One line per
-seed says whether every normalized value (compared by its repr, so
-bitwise) and every error string of the two checkouts is equal. Exits
-with 1 when any command or seed differs.
+job list of each of those seeds, also with one BLAS thread, through the
+same launcher. One line per seed says whether every normalized value
+(compared by its repr, so bitwise) and every error string of the two
+checkouts is equal, then the driver's own peak resident set in
+OTHER_CHECKOUT and in this one. Exits with 1 when any command or seed
+differs.
 """
 import itertools
 import json
@@ -39,11 +41,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = range(5)
-# `python -m spheregap.cli ARGS`, preceded by the path of a file that gets
-# the process's peak resident set in kB (VmHWM) at exit
+# `python -m MODULE ARGS` or `python SCRIPT.py ARGS`, run as
+# `python -c _LAUNCHER PEAK_PATH MODULE_OR_SCRIPT ARGS`: the file PEAK_PATH
+# gets the process's peak resident set in kB (VmHWM) at exit
 _LAUNCHER = """\
 import atexit, runpy, sys
-peak_path = sys.argv.pop(1)
+peak_path, target = sys.argv.pop(1), sys.argv.pop(1)
 
 def write_peak():
     with open("/proc/self/status") as status:
@@ -52,7 +55,11 @@ def write_peak():
         out.write(kb)
 
 atexit.register(write_peak)
-runpy.run_module("spheregap.cli", run_name="__main__", alter_sys=True)
+if target.endswith(".py"):
+    sys.argv[0] = target
+    runpy.run_path(target, run_name="__main__")
+else:
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
 """
 # a number of a CSV cell, a `# key=value` line or a JSON line
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -75,13 +82,20 @@ def _env(checkout: Path):
     return dict(os.environ, PYTHONPATH=str(checkout / "src"), SPHEREGAP_THREADS="1")
 
 
-def _run(checkout: Path, args):
-    """(exit code, stdout lines, peak resident set in MB) of one command."""
+def _launch(checkout: Path, target: str, args, **run_options):
+    """Run a module or a script of checkout through _LAUNCHER: (the
+    completed process, its own peak resident set in MB)."""
     with tempfile.TemporaryDirectory() as tmp:
         peak_path = Path(tmp) / "peak_kb"
-        out = subprocess.run([sys.executable, "-c", _LAUNCHER, str(peak_path), *args],
-                             cwd=checkout, env=_env(checkout), capture_output=True, text=True)
-        return out.returncode, out.stdout.splitlines(), int(peak_path.read_text()) / 1024.0
+        out = subprocess.run([sys.executable, "-c", _LAUNCHER, str(peak_path), target, *args],
+                             cwd=checkout, env=_env(checkout), **run_options)
+        return out, int(peak_path.read_text()) / 1024.0
+
+
+def _run(checkout: Path, args):
+    """(exit code, stdout lines, peak resident set in MB) of one command."""
+    out, peak = _launch(checkout, "spheregap.cli", args, capture_output=True, text=True)
+    return out.returncode, out.stdout.splitlines(), peak
 
 
 def _relative_move(theirs, mine):
@@ -95,13 +109,13 @@ def _relative_move(theirs, mine):
 
 
 def _eigen_results(checkout: Path, jobs_path: Path):
-    """(repr of the values, error) per job, from the checkout's own driver."""
+    """(repr of the values, error) per job, from the checkout's own driver,
+    and the driver's peak resident set in MB."""
     result_path = jobs_path.with_name("result.json")
-    subprocess.run([sys.executable, str(checkout / "perfbench" / "eigen_driver.py"),
-                    str(jobs_path), str(result_path)], cwd=checkout, env=_env(checkout),
-                   check=True)
+    _, peak = _launch(checkout, str(checkout / "perfbench" / "eigen_driver.py"),
+                      [str(jobs_path), str(result_path)], check=True)
     jobs = json.loads(result_path.read_text())["jobs"]
-    return [(repr(job["values"]), job["error"]) for job in jobs]
+    return [(repr(job["values"]), job["error"]) for job in jobs], peak
 
 
 def _compare_eigenfunctions(other: Path) -> int:
@@ -111,13 +125,14 @@ def _compare_eigenfunctions(other: Path) -> int:
         jobs_path = Path(tmp) / "jobs.json"
         for seed in SEEDS:
             jobs_path.write_text(json.dumps(list(workloads.eigenfunctions(random.Random(seed)).jobs)))
-            mine, theirs = (_eigen_results(tree, jobs_path) for tree in (ROOT, other))
+            (mine, peak), (theirs, other_peak) = (_eigen_results(tree, jobs_path)
+                                                  for tree in (ROOT, other))
             changed = sum(a != b for a, b in zip(mine, theirs))
             errors = sum(error is not None for _, error in mine)
             verdict = "identical" if changed == 0 else f"{changed} of {len(mine)} jobs differ"
             differing += changed != 0
-            print(f"{verdict}: eigenfunctions seed {seed} ({len(mine)} jobs, {errors} errors)",
-                  flush=True)
+            print(f"{verdict}: eigenfunctions seed {seed} ({len(mine)} jobs, {errors} errors)"
+                  f"  [peak {other_peak:.1f} -> {peak:.1f} MB]", flush=True)
     return differing
 
 
