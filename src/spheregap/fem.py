@@ -53,6 +53,10 @@ from .spectra import LuneSpec, TriangleSpec
 
 _GAUSS3_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 _GAUSS3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+# the Q1 line element at the Gauss points: the values of the two cell shape
+# functions 1 - s and s, and their reference slopes -1 and 1, each (2, 3)
+_LINE_PHI = np.stack([1.0 - _GAUSS3_NODES, _GAUSS3_NODES])
+_LINE_DPHI = np.array([[-1.0], [1.0]]) * np.ones(3)
 
 # the undeformed (t = 0) metric, the round metric of the sphere
 _ROUND = DeformationParams(1.0, 0.0, 0.0)
@@ -351,14 +355,13 @@ class DiscreteEigenproblem:
 
 
 def _reference_basis():
-    """Q1 basis values and reference gradients at the 3x3 Gauss points."""
-    xi, eta = np.meshgrid(_GAUSS3_NODES, _GAUSS3_NODES, indexing="ij")
-    xi, eta = xi.ravel(), eta.ravel()
-    wq = np.outer(_GAUSS3_WEIGHTS, _GAUSS3_WEIGHTS).ravel()
-    phi = np.stack([(1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta, xi * eta])
-    dphx = np.stack([-(1 - eta), (1 - eta), -eta, eta])
-    dphy = np.stack([-(1 - xi), -xi, (1 - xi), xi])
-    return wq, phi, dphx, dphy
+    """Q1 basis values and reference gradients at the 3x3 Gauss points: the
+    tensor products of the line element, node a at (a % 2, a // 2) and
+    point q at (q // 3, q % 3)."""
+    a, q = np.arange(4)[:, None], np.arange(9)
+    r, t = (a % 2, q // 3), (a // 2, q % 3)
+    return (_GAUSS3_WEIGHTS[q // 3] * _GAUSS3_WEIGHTS[q % 3], _LINE_PHI[r] * _LINE_PHI[t],
+            _LINE_DPHI[r] * _LINE_PHI[t], _LINE_PHI[r] * _LINE_DPHI[t])
 
 
 def _local_matrices(a11, a12, a22, am, phi, dphx, dphy):
@@ -420,10 +423,9 @@ def _separable_factors(params: DeformationParams, spec, n: int) -> _SeparableFac
     n_r, hx, hy = _grid(spec, n)
     rq = (np.arange(n - 1)[:, None] + _GAUSS3_NODES) * hx
     w11, _, w22, m = metric_coefficients(params, rq, _GAUSS3_NODES[0] * hy)
-    phi = np.stack([1.0 - _GAUSS3_NODES, _GAUSS3_NODES])
-    dphi = np.array([[-1.0], [1.0]]) * np.ones(3)
     stiffness_r, weight_r, mass_r = ((diag[:n_r], off[:n_r - 1]) for diag, off in (
-        _line_matrix(w11, dphi, 1.0 / hx), _line_matrix(w22, phi, hx), _line_matrix(m, phi, hx)))
+        _line_matrix(w11, _LINE_DPHI, 1.0 / hx), _line_matrix(w22, _LINE_PHI, hx),
+        _line_matrix(m, _LINE_PHI, hx)))
     return _SeparableFactors(stiffness_r, weight_r, mass_r, h_theta=hy, n_theta=n - 2)
 
 

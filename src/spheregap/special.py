@@ -24,7 +24,10 @@ finite for mu <= 0. For x < 0 two routes are used:
   machine accuracy arbitrarily close to the endpoint;
 * otherwise the general Legendre ODE is integrated numerically from x = 0
   (initial value and slope in closed form) with an adaptive high-order
-  scheme at absolute tolerance 1e-12. Only this branch imports scipy.
+  scheme, as one dense solution read at every requested point. Its
+  absolute tolerance is 1e-12 of the larger start value, so it scales with
+  P itself, which lies far below 1 at high order. Only this branch
+  imports scipy.
 """
 import math
 
@@ -114,7 +117,14 @@ def _series_many(degree, order, x):
 
 
 def _ode_continue(degree, order, x_neg):
-    """Integrate the general Legendre ODE from x = 0 to negative arguments."""
+    """Integrate the general Legendre ODE from x = 0 to the negative points
+    x_neg: one dense solution over [min x_neg, 0], read at every point.
+
+    The absolute tolerance is 1e-12 of the larger start value, |P(0)| or
+    |P'(0)|, so a solution far below 1 at high order keeps its digits.
+    Start values that both underflow to zero leave no scale, and raise
+    ConvergenceError.
+    """
     from scipy.integrate import solve_ivp
 
     lam = degree * (degree + 1.0)
@@ -125,22 +135,15 @@ def _ode_continue(degree, order, x_neg):
         one_m_x2 = 1.0 - x * x
         return [y[1], (2.0 * x * y[1] - (lam - mu2 / one_m_x2) * y[0]) / one_m_x2]
 
-    x_neg = np.asarray(x_neg, dtype=float)
-    order_idx = np.argsort(x_neg)[::-1]
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(x_neg.min())),
-        y0,
-        t_eval=x_neg[order_idx],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-12,
-    )
+    atol = 1e-12 * max(abs(y0[0]), abs(y0[1]))
+    if not atol > 0.0:
+        # a zero error scale would stall the step control
+        raise ConvergenceError(f"ODE start values P(0), P'(0) underflow: {y0}", math.inf)
+    sol = solve_ivp(rhs, (0.0, x_neg.min()), y0, method="DOP853", dense_output=True,
+                    rtol=1e-12, atol=atol)
     if not sol.success:
         raise ConvergenceError(f"ODE continuation failed: {sol.message}", math.inf)
-    out = np.empty_like(x_neg)
-    out[order_idx] = sol.y[0]
-    return out
+    return sol.sol(x_neg)[0]
 
 
 def _check_parameters(degree: float, order: float) -> None:
@@ -192,7 +195,7 @@ def legendre_p_dx(degree: float, order: float) -> float:
     point is offered: both callers, the triangle's edge scale and the start
     of the ODE branch, need the slope at zero only.
     """
-    _check_parameters(degree, order)
+    # legendre_p_at_zero checks the parameters: degree + 1 keeps an inf or nan
     return (order - degree - 1.0) * legendre_p_at_zero(degree + 1.0, order)
 
 

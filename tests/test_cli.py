@@ -121,6 +121,12 @@ def test_gap_curve_bad_range(capsys):
     assert code == 1
 
 
+def test_gap_curve_zero_steps_is_usage_error(capsys):
+    err = _usage_error(capsys, "gap-curve", "--domain", "lune",
+                       "--beta-min-pi", "0.2", "--beta-max-pi", "0.4", "--steps", "0")
+    assert "--steps must be >= 1" in err
+
+
 def _numerical_failure(capsys, *argv):
     """A command that must exit 2 with one failure line and no stdout."""
     code = main(list(argv))

@@ -496,6 +496,28 @@ def test_lobpcg_basis_stays_in_preallocated_buffers():
     assert peak <= 12 * k * problem.num_dof * 8
 
 
+def test_wider_request_re_solves_a_cached_theta_mode(monkeypatch):
+    # a theta mode kept with 3 radial columns is solved again when a later
+    # request of 12 pairs needs a column beyond those; the answer keeps the
+    # bits of a solve from an empty cache
+    spec = TriangleSpec(PI / 2)
+    fem._separable_factors.cache_clear()
+    fresh = solve_smallest(assemble(spec, 24), 12)
+    re_solves = []
+    solve_mode = fem._SeparableFactors._solve_mode
+
+    def counting(self, k, count):
+        re_solves.append(k in self._radial)
+        return solve_mode(self, k, count)
+
+    fem._separable_factors.cache_clear()
+    monkeypatch.setattr(fem._SeparableFactors, "_solve_mode", counting)
+    solve_smallest(assemble(spec, 24), 3)
+    vals, vecs = solve_smallest(assemble(spec, 24), 12)
+    assert sum(re_solves) == 1
+    assert np.array_equal(vals, fresh[0]) and np.array_equal(vecs, fresh[1])
+
+
 def test_deformed_solve_peak():
     # one off-axis solve as the command line runs it, from a fresh factor
     # cache: 8.92 MB observed at n = 128, 10.28 MB with two LOBPCG scratch

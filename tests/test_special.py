@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from spheregap.errors import DomainError, GammaPoleError
+from spheregap.errors import ConvergenceError, DomainError, GammaPoleError
 from spheregap.special import (
     _hyp2f1_batch,
     gamma_fn,
@@ -204,6 +204,60 @@ def test_high_order_value_against_mpmath():
     with mpmath.workdps(40):
         ref = float(mpmath.legenp(40, -20, 0.2))
     assert abs(legendre_p(40.0, -20.0, 0.2) - ref) <= 1e-9 * abs(ref)
+
+
+def _legenp(ell, mu, x):
+    """P_l^mu(x) from mpmath at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        return float(mpmath.legenp(ell, mu, x))
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the series loses digits to cancellation at generic high-order pairs")
+@pytest.mark.parametrize("ell, mu, x", [(30.6, -12.2, 0.2), (25.3, -4.1, 0.1)])
+def test_generic_series_value_against_mpmath(ell, mu, x):
+    # the series returns -2.066e-20 against -5.173e-20, and 2.0483e-7 against
+    # 2.0656e-7, both with no error
+    ref = _legenp(ell, mu, x)
+    assert abs(legendre_p(ell, mu, x) - ref) <= 1e-9 * abs(ref)
+
+
+def _generic_pairs(rng, count):
+    """count (degree, order, x) with degree + order at least 0.05 from an
+    integer, so that x < 0 takes the ODE continuation."""
+    cases = []
+    while len(cases) < count:
+        s, u, x = rng.uniform(0.3, 14.0), rng.uniform(0.05, 20.0), rng.uniform(-0.97, -0.01)
+        if abs(u - round(u)) >= 0.05:
+            cases.append((float(s + u), float(-s), float(x)))
+    return cases
+
+
+def test_generic_continuation_against_mpmath():
+    # P at high order lies far below 1 near x = 0; a fixed absolute tolerance
+    # returned noise there, up to 1.5e9 times max|P| on these draws
+    for ell, mu, x in _generic_pairs(np.random.default_rng(32), 60):
+        grid = np.linspace(x, 0.0, 6)
+        ref = np.array([_legenp(ell, mu, g) for g in grid])
+        vals = legendre_p_many(ell, mu, grid[:-1])
+        assert np.max(np.abs(vals - ref[:-1])) <= 1e-9 * np.max(np.abs(ref)), (ell, mu, x)
+
+
+@pytest.mark.parametrize("ell, mu, x", [(30.6, -12.2, -0.5), (60.3, -40.7, -0.5),
+                                        (150.5, -100.3, -0.5), (20.3, -7.7, -0.9)])
+def test_generic_continuation_high_order_against_mpmath(ell, mu, x):
+    ref = _legenp(ell, mu, x)
+    assert abs(legendre_p(ell, mu, x) - ref) <= 1e-9 * abs(ref)
+
+
+def test_generic_continuation_refuses_underflowed_start_values():
+    # P(0) and P'(0) of (0, -339.9) underflow to zero, while P(-0.9999999)
+    # is 2.3e526: a zero start would continue as a zero solution
+    assert legendre_p_at_zero(0.0, -339.9) == 0.0 == legendre_p_dx(0.0, -339.9)
+    with pytest.raises(ConvergenceError):
+        legendre_p_many(0.0, -339.9, np.array([-0.5, -0.1]))
 
 
 def test_domain_errors():
